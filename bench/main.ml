@@ -30,8 +30,9 @@
      --fault-seed N injection determinism seed (default 1)
      --rtm-retries N transactional re-attempts per injected-fault abort
                     before scalar fallback (default 2)
-     --row-timeout S per-row wall-clock budget (seconds) for parallel
-                    sections; an overdue row becomes an error row
+     --row-timeout S per-row wall-clock budget (seconds) for figure8,
+                    the only section that reads it: an overdue row is
+                    canceled cooperatively and becomes an error row
      --fail-on-degraded exit 1 if any hot run compiled below its
                     requested strategy (degraded-* compile_status):
                     registry kernels are expected to vectorize, so a
@@ -576,7 +577,7 @@ let serve_row ~(n : int) ~(domains : int) (lines : string array) =
     while !i < n do
       let m = min chunk (n - !i) in
       let idxs = List.init m (fun j -> !i + j) in
-      Fv_parallel.Pool.map_result ~domains (fun j -> (j, one lines.(j mod k)))
+      Fv_parallel.Pool.map ~domains (fun j -> (j, one lines.(j mod k)))
         idxs
       |> List.iter (function Ok (j, d) -> lat.(j) <- d | Error _ -> ());
       i := !i + m
@@ -892,7 +893,6 @@ let chaos_bench (plan : Harness.plan) () =
         batch = 32;
         queue_cap = 4096;
         row_timeout = (if rate > 0.0 then Some 0.02 else None);
-        supervised = true;
         quarantine = Some quarantine;
         chaos;
       }
@@ -967,7 +967,7 @@ let chaos_bench (plan : Harness.plan) () =
       non_injected,
       delta "serve_quarantined",
       delta "serve_quarantine_strikes",
-      delta "serve_worker_restarts",
+      delta "pool_worker_restarts",
       delta "serve_shed",
       histo_p99_bound before after "serve_request_seconds",
       wall )
@@ -1070,7 +1070,7 @@ let chaos_bench (plan : Harness.plan) () =
   print_string (Report.table table);
   Printf.printf
     "\n%d requests per run (%d poison repeats); seed %d; %d domains; \
-     supervised pool, 20ms row timeout, quarantine after 2 strikes\n"
+     20ms row timeout, quarantine after 2 strikes\n"
     requests (List.length poison_positions) seed domains;
   [
     ("requests", J.Int requests);
@@ -1264,10 +1264,10 @@ let overload_bench (plan : Harness.plan) () =
   in
   print_string (Report.table table);
   (* pure-timeout leg: every request a distinct simulation with an
-     impossible deadline, through the supervised pool. Cooperative
+     impossible deadline, with a row timeout armed. Cooperative
      cancellation must answer all of them with zero detached workers
-     and zero replacement domains — the row timeout stays armed as a
-     backstop and must never fire *)
+     and zero replacement domains — the row timeout is only the
+     backstop for code that never polls, and must never fire *)
   Fv_serve.Server.reset_shutdown ();
   let nt = 200 in
   let sims = Fv_serve.Loadgen.distinct_cases ~n:nt ~seed:23 in
@@ -1283,7 +1283,6 @@ let overload_bench (plan : Harness.plan) () =
     {
       Fv_serve.Server.default_opts with
       Fv_serve.Server.domains = Some 2;
-      supervised = true;
       row_timeout = Some 5.0;
       queue_cap = 4096;
     }
@@ -1297,7 +1296,7 @@ let overload_bench (plan : Harness.plan) () =
     List.length
       (List.filter (fun r -> response_field r "status" = Some st) t_responses)
   in
-  let restarts = t_delta "serve_worker_restarts" in
+  let restarts = t_delta "pool_worker_restarts" in
   Printf.printf
     "\npure-timeout: %d offered, %d answered (%d deadline-exceeded, %d ok), \
      %d worker restarts\n"

@@ -568,7 +568,7 @@ let calibrate_cmd =
 
 let serve_cmd =
   let run domains batch max_queue deadline_ms row_timeout max_request_bytes
-      socket plan_cache plan_cache_file supervised quarantine_dir max_strikes
+      socket plan_cache plan_cache_file quarantine_dir max_strikes
       chaos_rate chaos_seed stats_json emit seed =
     match emit with
     | Some n ->
@@ -599,12 +599,10 @@ let serve_cmd =
           Fv_serve.Service.cfg ~cache ?deadline_ms ~max_request_bytes
             ?admission ()
         in
+        (* always bounded: a row-timeout detach without quarantine
+           would leak one domain per repeat of a poison request *)
         let quarantine =
-          if supervised || Option.is_some quarantine_dir then
-            Some
-              (Fv_serve.Quarantine.create ?dir:quarantine_dir
-                 ~max_strikes ())
-          else None
+          Fv_serve.Quarantine.create ?dir:quarantine_dir ~max_strikes ()
         in
         let chaos =
           if chaos_rate > 0.0 then
@@ -618,8 +616,7 @@ let serve_cmd =
             batch;
             queue_cap = max_queue;
             row_timeout;
-            supervised;
-            quarantine;
+            quarantine = Some quarantine;
             chaos;
           }
         in
@@ -667,15 +664,12 @@ let serve_cmd =
                            | None -> J.Null );
                        ] );
                    ( "quarantine",
-                     match quarantine with
-                     | None -> J.Null
-                     | Some qt ->
-                         J.Obj
-                           [
-                             ("size", J.Int (Fv_serve.Quarantine.size qt));
-                             ( "max_strikes",
-                               J.Int (Fv_serve.Quarantine.max_strikes qt) );
-                           ] );
+                     J.Obj
+                       [
+                         ("size", J.Int (Fv_serve.Quarantine.size quarantine));
+                         ( "max_strikes",
+                           J.Int (Fv_serve.Quarantine.max_strikes quarantine) );
+                       ] );
                  ])
   in
   let batch_arg =
@@ -697,19 +691,23 @@ let serve_cmd =
       value & opt (some int) None
       & info [ "deadline-ms" ] ~docv:"MS"
           ~doc:
-            "Default per-request deadline: a request whose wall time \
-             exceeds it is answered $(b,deadline-exceeded) (a request's \
-             own $(i,deadline-ms) field overrides this).")
+            "Default per-request deadline, counted from admission (queue \
+             wait included): a request still running at it cancels \
+             itself at its next budget poll and is answered \
+             $(b,deadline-exceeded) (a request's own $(i,deadline-ms) \
+             field overrides this). Also turns on cost-based admission \
+             control.")
   in
   let row_timeout_arg =
     Arg.(
       value & opt (some float) None
       & info [ "row-timeout" ] ~docv:"SECONDS"
           ~doc:
-            "Per-request wall budget enforced by the worker pool (the \
-             bench harness's --row-timeout); a wedged request becomes a \
-             $(b,deadline-exceeded) response instead of stalling its \
-             batch.")
+            "Detach deadline of the worker pool: a request still running \
+             after $(docv) is answered $(b,deadline-exceeded), its worker \
+             domain is abandoned and replaced, and the request is struck \
+             in the quarantine table. The backstop for code that never \
+             polls a budget; --deadline-ms is the cooperative deadline.")
   in
   let max_request_bytes_arg =
     Arg.(
@@ -745,24 +743,15 @@ let serve_cmd =
              fatal) and write one back atomically on graceful exit, so \
              a restarted server serves its working set warm.")
   in
-  let supervised_arg =
-    Arg.(
-      value & flag
-      & info [ "supervised" ]
-          ~doc:
-            "Run batches under pool supervision: a request that wedges \
-             past --row-timeout or kills its worker is answered \
-             immediately, the burned domain is replaced, and the \
-             offender is struck in the quarantine table.")
-  in
   let quarantine_dir_arg =
     Arg.(
       value & opt (some string) None
       & info [ "quarantine-dir" ] ~docv:"DIR"
           ~doc:
             "Persist each quarantined request line to \
-             $(docv)/cex-<hash>.sexp (fuzz-corpus reproducer naming); \
-             implies --supervised.")
+             $(docv)/cex-<hash>.sexp (fuzz-corpus reproducer naming). \
+             The quarantine table itself is always on; this only adds \
+             persistence.")
   in
   let max_strikes_arg =
     Arg.(
@@ -815,7 +804,7 @@ let serve_cmd =
     Term.(
       const run $ domains_arg $ batch_arg $ max_queue_arg $ deadline_arg
       $ row_timeout_arg $ max_request_bytes_arg $ socket_arg $ plan_cache_arg
-      $ plan_cache_file_arg $ supervised_arg $ quarantine_dir_arg
+      $ plan_cache_file_arg $ quarantine_dir_arg
       $ max_strikes_arg $ chaos_rate_arg $ chaos_seed_arg $ stats_json_arg
       $ emit_arg $ seed_arg)
 

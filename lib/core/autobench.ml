@@ -102,7 +102,7 @@ let kernel_row ?(vl = 16) ?(seed = 42) ?(mode : Fv_ooo.Pipeline.mode = `Event)
     Rows that fail (they never should) are dropped. *)
 let kernel_rows ?(vl = 16) ?(seed = 42)
     ?(mode : Fv_ooo.Pipeline.mode = `Event) ?(domains = 1) () : row list =
-  Fv_parallel.Pool.map_result ~domains (kernel_row ~vl ~seed ~mode) R.all
+  Fv_parallel.Pool.map ~domains (kernel_row ~vl ~seed ~mode) R.all
   |> List.filter_map (function Ok r -> Some r | Error _ -> None)
 
 (** Geomean of Auto's and the oracle's per-kernel speedups, and their
@@ -186,5 +186,5 @@ let sweep_rows ?(trips = [ 32; 128; 512; 2048; 8192 ]) ?(vls = [ 4; 8; 16 ])
             ~mode ?faults (cond ~trip:2048))
         fault_rates
   in
-  Fv_parallel.Pool.map_result ~domains (fun job -> job ()) jobs
+  Fv_parallel.Pool.map ~domains (fun job -> job ()) jobs
   |> List.filter_map (function Ok r -> Some r | Error _ -> None)

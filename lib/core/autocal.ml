@@ -62,9 +62,7 @@ let measure ?(vl = 16) ?(seed = 42) ?(mode : Fv_ooo.Pipeline.mode = `Event)
         })
       M.arms
   in
-  let results =
-    Fv_parallel.Pool.map_result ~domains per_spec R.all
-  in
+  let results = Fv_parallel.Pool.map ~domains per_spec R.all in
   List.concat_map (function Ok ms -> ms | Error _ -> []) results
 
 (** Fit the model to the measurements. *)

@@ -27,8 +27,8 @@ let geomean = function
   | xs ->
       exp (List.fold_left (fun a x -> a +. log x) 0.0 xs /. float_of_int (List.length xs))
 
-let run_row ?(vl = 16) ?(seed = 42) ?mode ?faults ?rtm_retries (spec : R.spec)
-    : row =
+let run_row ?(vl = 16) ?(seed = 42) ?mode ?faults ?rtm_retries ?budget
+    (spec : R.spec) : row =
   let built = spec.build seed in
   (* profiling: the cold region's dynamic size is chosen so that the
      measured coverage equals Table 2's (the paper measures coverage
@@ -42,18 +42,20 @@ let run_row ?(vl = 16) ?(seed = 42) ?mode ?faults ?rtm_retries (spec : R.spec)
       (float_of_int probe.hot_uops *. (1.0 -. spec.coverage) /. spec.coverage)
   in
   let profile = Fv_profiler.Profile.with_other_uops probe ~other_uops in
+  (* the profiler is not budget-threaded: poll at the seam *)
+  Fv_parallel.Budget.check_opt budget;
   let decision =
     Fv_vectorizer.Costmodel.decide ~avg_trip:profile.avg_trip
       ~effective_vl:profile.effective_vl ~mem_ratio:profile.mem_ratio
       ~coverage:profile.coverage ()
   in
   let baseline =
-    Experiment.run_workload ~vl ?mode ~invocations:spec.invocations ~seed
-      Experiment.Scalar spec.build
+    Experiment.run_workload ?budget ~vl ?mode ~invocations:spec.invocations
+      ~seed Experiment.Scalar spec.build
   in
   let flexvec =
     if decision.vectorize then
-      Experiment.run_workload ~vl ?mode ?faults ?rtm_retries
+      Experiment.run_workload ?budget ~vl ?mode ?faults ?rtm_retries
         ~invocations:spec.invocations ~seed Experiment.Flexvec spec.build
     else baseline
   in
@@ -82,13 +84,26 @@ type result = {
     [?timeout_s] wall-clock seconds becomes an entry in [errors] while
     every other row still completes and the geomeans are taken over the
     survivors — one poisoned benchmark degrades the report instead of
-    sinking it. *)
+    sinking it.
+
+    [?timeout_s] arms a cooperative {!Fv_parallel.Budget} per row, so an
+    overdue row cancels itself at its next poll and frees its worker.
+    The pool's detach deadline is only the backstop for a row stuck
+    where nothing polls; it is set to twice the budget so that a row
+    which does poll always cancels before it can be detached. *)
 let run ?vl ?seed ?mode ?domains ?faults ?rtm_retries ?timeout_s
     ?(benchmarks = R.all) () : result =
+  let row spec =
+    (* armed when the row starts, not when the run does *)
+    let budget =
+      Option.map (fun s -> Fv_parallel.Budget.create ~deadline_s:s ()) timeout_s
+    in
+    run_row ?vl ?seed ?mode ?faults ?rtm_retries ?budget spec
+  in
   let outcomes =
-    Fv_parallel.Pool.map_result ?domains ?timeout_s
-      (run_row ?vl ?seed ?mode ?faults ?rtm_retries)
-      benchmarks
+    Fv_parallel.Pool.map ?domains
+      ?timeout_s:(Option.map (fun s -> 2.0 *. s) timeout_s)
+      row benchmarks
   in
   let rows, errors =
     List.fold_right2

@@ -24,8 +24,10 @@ type plan = {
       (** [--rtm-retries N]: transactional re-attempts after an
           injected-fault abort before falling back to scalar *)
   row_timeout : float option;
-      (** [--row-timeout SECONDS]: per-row wall-clock budget for the
-          parallel sections; an overdue row becomes an error row *)
+      (** [--row-timeout SECONDS]: per-row wall-clock budget, read only
+          by the [figure8] section ({!Figure8.run}'s [?timeout_s]); an
+          overdue row is canceled cooperatively and becomes an error
+          row *)
   fail_on_degraded : bool;
       (** [--fail-on-degraded]: exit non-zero if any simulated hot run
           compiled below its requested strategy (a [degraded-*]

@@ -311,7 +311,7 @@ type fault_point = {
     seeded probabilistic plan attached and record how the abort/retry/
     scalar-fallback machinery responded. Every point is verified
     against an injection-free scalar reference — a divergence raises,
-    which {!Fv_parallel.Pool.map_result} captures as that point's error
+    which {!Fv_parallel.Pool.map} captures as that point's error
     row rather than sinking the sweep. *)
 let fault_sweep ?(rates = [ 0.0; 0.0005; 0.002; 0.008; 0.03 ])
     ?(tiles = [ 64; 256; 1024 ]) ?(trip = 4096) ?(seed = 7) ?(retries = 2)
@@ -319,7 +319,7 @@ let fault_sweep ?(rates = [ 0.0; 0.0005; 0.002; 0.008; 0.03 ])
   let points =
     List.concat_map (fun f_tile -> List.map (fun r -> (f_tile, r)) rates) tiles
   in
-  Fv_parallel.Pool.map_result ?domains
+  Fv_parallel.Pool.map ?domains
     (fun (f_tile, f_rate) ->
       let b = tunable_cond_update ~trip ~update_rate:0.01 ~near_rate:0.2 seed in
       let l = b.Fv_workloads.Kernels.loop in

@@ -136,10 +136,10 @@ let merge_cell (into : shard) (k : key) (c : cell) : unit =
 (** [retire t ~domain] ends metrics ownership for a terminated domain:
     its shard is folded into the retained [retired] accumulator and
     removed from the live shard list in one critical section. The
-    supervised pool calls this after joining a worker that died or
-    finished, which keeps snapshots taken during a supervised restart
-    exact — merging a dead domain's shard without removing it would
-    double-count its events at the next snapshot, and leaving it live
+    domain pool calls this after joining a worker that died, which
+    keeps snapshots taken during a worker restart exact — merging a
+    dead domain's shard without removing it would double-count its
+    events at the next snapshot, and leaving it live
     would let a recycled domain id (OCaml reuses them) resurrect the
     dead domain's cells under a new owner. Idempotent; an unknown
     [domain] is a no-op. Must only be called once the domain has

@@ -9,8 +9,8 @@
     every few thousand pipeline events — and a blown budget raises the
     structured {!Canceled} there, unwinding the computation {e from the
     inside}. That is the whole point: OCaml domains cannot be
-    preempted, so the only alternative to cooperation is the supervised
-    pool's detach — answer the caller, abandon the domain, and let it
+    preempted, so the only alternative to cooperation is the pool's
+    detach — answer the caller, abandon the domain, and let it
     burn a core until the computation finishes on its own. A checked
     budget costs a handful of nanoseconds per poll; a detach costs a
     core times the computation's remaining runtime, plus a replacement

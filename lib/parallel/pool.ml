@@ -1,20 +1,20 @@
 (** A fixed-size OCaml 5 domain pool for the embarrassingly-parallel
-    shape of the evaluation harness: every Figure 8 / Table 2 row and
-    every sweep point is an independent pure computation (its own kernel
-    build, its own [Memory.clone], its own trace sink), so rows can be
-    fanned out across domains with no shared mutable state.
+    shape of the evaluation harness and the serve daemon: every Figure 8
+    / Table 2 row, every sweep point and every request of a batch is an
+    independent computation (its own kernel build, its own
+    [Memory.clone], its own trace sink), so elements can be fanned out
+    across domains with no shared mutable state.
 
     Work distribution is dynamic: an atomic cursor hands out one input
     index at a time, so a slow row (433.milc's 8000-trip loops) does not
-    serialise the fast rows behind a static block split. Results are
-    written into a preallocated slot per input, which makes the output
-    order-preserving by construction.
+    serialise the fast rows behind a static block split. Each input owns
+    a preallocated result slot, which makes the output order-preserving
+    by construction.
 
-    Two entry points share that machinery: {!map_result} captures each
-    element's outcome as a [result] so one poisoned row degrades to an
-    error row instead of sinking the whole report, and {!map_ordered}
-    keeps the original fail-fast contract (re-raise the earliest
-    failure) for callers whose elements must all succeed. *)
+    One entry point, {!map}, captures every element's outcome as a
+    [result]: one poisoned row degrades to an error row instead of
+    sinking the whole report. {!map_ordered} is the fail-fast adapter
+    for callers whose elements must all succeed. *)
 
 (** Number of workers used when [?domains] is not given: all but one of
     the recommended domain count, leaving a core for the spawning
@@ -25,26 +25,79 @@ let default_domains () = max 1 (Domain.recommended_domain_count () - 1)
 type failure =
   | Raised of { exn : exn; backtrace : Printexc.raw_backtrace }
   | Timed_out of { wall_seconds : float; limit : float }
-      (** the element {e completed} but took longer than the caller's
-          wall-clock budget; its result is discarded. Domains cannot be
-          safely preempted mid-computation, so the timeout is detected
-          post-hoc rather than by cancellation — a stuck element still
-          occupies its worker, but its row is reported as timed out. *)
+      (** the element was canceled cooperatively at a {!Budget} poll
+          ([limit] is the budget's), or it ran past [?timeout_s] and its
+          worker was detached ([limit] is [?timeout_s]) *)
 
 let failure_message = function
   | Raised { exn; _ } -> Printexc.to_string exn
   | Timed_out { wall_seconds; limit } ->
       Printf.sprintf "timed out: %.2fs (limit %.2fs)" wall_seconds limit
 
-type 'b slot = Pending | Filled of ('b, failure) result
+(** Raised by a task (or injected by the chaos harness) to simulate a
+    worker domain dying mid-element: the element is answered
+    [Error (Raised _)], the worker exits, and a replacement is spawned
+    while unclaimed work remains. Ordinary exceptions only fail the
+    element. *)
+exception Kill_worker of string
 
-(** [map_result ?domains ?timeout_s f xs] applies [f] to every element
-    on a pool of [domains] worker domains (default {!default_domains}),
-    capturing each outcome: [Ok y] on success, [Error (Raised _)] if
-    that application raised (other elements still run to completion),
-    and [Error (Timed_out _)] if [?timeout_s] is given and the element's
-    wall-clock time exceeded it. Output order matches input order. *)
-let map_result ?domains ?timeout_s (f : 'a -> 'b) (xs : 'a list) :
+let () =
+  Printexc.register_printer (function
+    | Kill_worker msg -> Some (Printf.sprintf "worker killed: %s" msg)
+    | _ -> None)
+
+(** Pool-level incidents, surfaced through [?on_event] (always on the
+    calling domain) so callers can quarantine the offending input
+    without threading state through the pool. *)
+type event =
+  | Detached of { index : int; wall_seconds : float; limit : float }
+      (** element [index] ran past [?timeout_s]: it was answered
+          [Timed_out] and its worker abandoned *)
+  | Died of { index : int; exn : exn }
+      (** the worker running element [index] raised {!Kill_worker}; the
+          element was answered [Raised] *)
+
+type worker = {
+  finished : bool Atomic.t;  (** set as the body's last action *)
+  died : (int * exn) option Atomic.t;  (** index and {!Kill_worker} *)
+  mutable detached : bool;  (** only ever touched by the caller *)
+}
+
+(* Per-element slot protocol. A worker claims a slot by storing a fresh
+   [Running] token, then publishes its result with a compare-and-set
+   against that exact token (physical equality). The caller steals an
+   overdue slot the same way: CAS [Running] -> [Done (Error (Timed_out
+   _))]. Whoever wins the CAS owns the slot; a worker that loses stops
+   taking work, so each element is answered exactly once. *)
+type 'b cell =
+  | Free
+  | Running of { start : float; owner : worker }
+  | Done of ('b, failure) result
+
+(** [map ?domains ?timeout_s ?on_event f xs] applies [f] to every
+    element on [domains] worker domains (default {!default_domains},
+    capped at the core count) and answers each element, in input order:
+
+    - [Ok y] when [f x] returned [y];
+    - [Error (Timed_out _)] when [f x] raised {!Budget.Canceled} — a
+      clean early return, the worker stays alive;
+    - [Error (Raised _)] when [f x] raised {!Kill_worker} — the worker
+      exits and the death is reported as {!Died} — or any other
+      exception;
+    - [Error (Timed_out _)] when [f x] is still running [?timeout_s]
+      seconds after it started. Domains cannot be preempted, so the
+      worker is {e detached}: the element is answered at the deadline,
+      the worker keeps burning its core until [f x] returns (the late
+      result is discarded) and is then leaked rather than joined, and a
+      replacement domain takes over the remaining work. Detach is the
+      backstop for code that never polls a budget; callers bound how
+      often one input can trigger it (quarantine).
+
+    Without [?timeout_s] the calling domain only blocks in
+    [Domain.join] — it never sleeps or polls — and with one worker (or
+    one element) [f] runs on the calling domain itself. With a deadline
+    armed the caller supervises, polling the slots every 2 ms. *)
+let map ?domains ?timeout_s ?on_event (f : 'a -> 'b) (xs : 'a list) :
     ('b, failure) result list =
   let requested =
     match domains with Some d -> max 1 d | None -> default_domains ()
@@ -55,349 +108,152 @@ let map_result ?domains ?timeout_s (f : 'a -> 'b) (xs : 'a list) :
      [--domains 4] used to run ~3x slower than [--domains 1] on
      identical work. The report still records the requested count. *)
   let requested = min requested (max 1 (Domain.recommended_domain_count ())) in
+  let event e = match on_event with Some g -> g e | None -> () in
+  let raised e =
+    Error (Raised { exn = e; backtrace = Printexc.get_raw_backtrace () })
+  in
+  (* one element's outcome, plus the exception that kills its worker *)
   let run_one i x =
-    (* monotonic clock: a wall-clock step (NTP) must not turn into a
-       phantom timeout or a negative row duration *)
+    (* monotonic clock: a wall-clock step (NTP) must not distort a row
+       duration *)
     let t0 = Fv_obs.Clock.now () in
-    let r =
+    let outcome =
       match Fv_obs.Span.with_row i (fun () -> f x) with
-      | y -> Ok y
+      | y -> (Ok y, None)
       | exception Budget.Canceled { elapsed_ms; limit_ms } ->
-          (* a cooperatively canceled element is a clean early return,
-             not a crash: the worker unwound itself at a budget poll,
-             so it is alive and takes the next element — no detach, no
-             replacement domain *)
-          Error
-            (Timed_out
-               {
-                 wall_seconds = elapsed_ms /. 1000.0;
-                 limit =
-                   (match limit_ms with
-                   | Some l -> l /. 1000.0
-                   | None -> elapsed_ms /. 1000.0);
-               })
-      | exception e ->
-          Error (Raised { exn = e; backtrace = Printexc.get_raw_backtrace () })
+          let limit_ms = Option.value limit_ms ~default:elapsed_ms in
+          let wall_seconds = elapsed_ms /. 1000.0 in
+          (Error (Timed_out { wall_seconds; limit = limit_ms /. 1000.0 }), None)
+      | exception (Kill_worker _ as e) -> (raised e, Some e)
+      | exception e -> (raised e, None)
     in
-    let dt = Fv_obs.Clock.elapsed ~since:t0 in
     Fv_obs.Metrics.incr Fv_obs.Metrics.global "pool_tasks";
     Fv_obs.Metrics.observe
       ~labels:[ ("domain", string_of_int (Domain.self () :> int)) ]
-      Fv_obs.Metrics.global "pool_task_seconds" dt;
-    match (r, timeout_s) with
-    | Ok _, Some limit when dt > limit ->
-        Error (Timed_out { wall_seconds = dt; limit })
-    | _ -> r
+      Fv_obs.Metrics.global "pool_task_seconds"
+      (Fv_obs.Clock.elapsed ~since:t0);
+    outcome
   in
-  match xs with
-  | [] -> []
-  | [ x ] -> [ run_one 0 x ]
-  | _ when requested = 1 -> List.mapi run_one xs
-  | _ ->
-      let items = Array.of_list xs in
-      let n = Array.length items in
-      let slots = Array.make n Pending in
-      let cursor = Atomic.make 0 in
-      let worker () =
-        let rec go () =
-          let i = Atomic.fetch_and_add cursor 1 in
-          if i < n then begin
-            slots.(i) <- Filled (run_one i items.(i));
-            go ()
+  let n = List.length xs in
+  if timeout_s = None && (requested = 1 || n <= 1) then
+    List.mapi
+      (fun i x ->
+        let r, died = run_one i x in
+        Option.iter (fun exn -> event (Died { index = i; exn })) died;
+        r)
+      xs
+  else
+    let items = Array.of_list xs in
+    let slots = Array.init n (fun _ -> Atomic.make Free) in
+    let cursor = Atomic.make 0 in
+    let filled = Atomic.make 0 in
+    let body w () =
+      let rec go () =
+        let i = Atomic.fetch_and_add cursor 1 in
+        if i < n then begin
+          let tok = Running { start = Fv_obs.Clock.now (); owner = w } in
+          Atomic.set slots.(i) tok;
+          let r, died = run_one i items.(i) in
+          (* a lost CAS means the caller detached us: stop here *)
+          if Atomic.compare_and_set slots.(i) tok (Done r) then begin
+            Atomic.incr filled;
+            match died with
+            | Some e -> Atomic.set w.died (Some (i, e))
+            | None -> go ()
           end
-        in
-        go ()
-      in
-      let workers =
-        List.init (min requested n) (fun _ -> Domain.spawn worker)
-      in
-      List.iter Domain.join workers;
-      Array.to_list
-        (Array.map
-           (function
-             | Filled r -> r
-             | Pending -> assert false (* all slots filled before join *))
-           slots)
-
-(** Raised by a task (or injected by the chaos harness) to simulate a
-    worker domain dying mid-element. {!map_supervised} deliberately
-    lets it escape the per-element handler: the element is reported as
-    [Error (Raised _)], the worker exits, and the supervisor spawns a
-    replacement — ordinary exceptions only fail the element. *)
-exception Kill_worker of string
-
-let () =
-  Printexc.register_printer (function
-    | Kill_worker msg -> Some (Printf.sprintf "worker killed: %s" msg)
-    | _ -> None)
-
-(** What the supervisor observed while running one {!map_supervised}
-    call. [sv_detached] counts workers abandoned mid-element because
-    their element blew its wall-clock budget; [sv_restarts] counts the
-    replacement domains spawned (for detached and for dead workers). *)
-type sv_stats = { sv_restarts : int; sv_detached : int }
-
-(** Supervisor-visible event, surfaced through [?on_event] so callers
-    (the serve layer) can count restarts and quarantine the offending
-    input without threading state through the pool. *)
-type sv_event =
-  | Sv_detached of { index : int; wall_seconds : float; limit : float }
-      (** the worker running element [index] exceeded [?timeout_s]; its
-          slot was answered [Timed_out] and the worker abandoned *)
-  | Sv_died of { index : int; exn : exn }
-      (** the worker running element [index] died (its task raised
-          {!Kill_worker} or the domain body itself failed); the element
-          was answered [Error (Raised _)] *)
-
-(* Per-element slot protocol. A worker claims a slot by storing a fresh
-   [Sv_running] token, then publishes its result with a compare-and-set
-   against that exact token (physical equality). The supervisor steals a
-   timed-out slot the same way: CAS [Sv_running] -> [Sv_done (Error
-   (Timed_out _))]. Whoever wins the CAS owns the slot; the loser
-   observes the failed CAS and stands down — a detached worker stops
-   taking new work, a late result is discarded. *)
-type 'b sv_cell =
-  | Sv_free
-  | Sv_running of { start : float; worker : int }
-  | Sv_done of ('b, failure) result
-
-type sv_worker = {
-  w_id : int;
-  mutable w_domain : unit Domain.t option;
-  w_item : int Atomic.t;  (** element currently claimed, or -1 *)
-  w_dom_id : int Atomic.t;  (** [Domain.self] of the worker, for retire *)
-  w_died : exn option Atomic.t;
-  w_finished : bool Atomic.t;
-  mutable w_detached : bool;
-  mutable w_reaped : bool;
-}
-
-(** [map_supervised ?domains ?timeout_s ?poll_s ?on_event f xs] is
-    {!map_result} with live supervision instead of post-hoc accounting.
-    The calling domain acts as supervisor: it polls the slots every
-    [?poll_s] (default 2ms) and
-
-    - {b detaches} a worker whose current element has run past
-      [?timeout_s]: the element is answered [Error (Timed_out _)]
-      immediately (not when the element eventually finishes), the
-      worker is abandoned — domains cannot be preempted, so it keeps
-      burning its core until the stuck element returns, but it takes no
-      further work — and a replacement domain is spawned so pool
-      capacity survives a wedged request;
-    - {b restarts} a worker that died ({!Kill_worker}): the element is
-      answered [Error (Raised _)], the dead domain is joined, its
-      metrics shard is retired (see [Fv_obs.Metrics.retire] — keeps
-      snapshots during a restart exactly-once), and a replacement is
-      spawned if unclaimed work remains.
-
-    A detached worker's eventual completion is discarded (its publish
-    CAS fails), so each element is answered exactly once. Output order
-    matches input order. Abandoned domains are leaked by design; the
-    caller bounds how often a given input can do this (quarantine). *)
-let map_supervised ?domains ?timeout_s ?(poll_s = 0.002) ?on_event
-    (f : 'a -> 'b) (xs : 'a list) : ('b, failure) result list * sv_stats =
-  let requested =
-    match domains with Some d -> max 1 d | None -> default_domains ()
-  in
-  let requested = min requested (max 1 (Domain.recommended_domain_count ())) in
-  let event e = match on_event with Some g -> g e | None -> () in
-  match xs with
-  | [] -> ([], { sv_restarts = 0; sv_detached = 0 })
-  | _ ->
-      let items = Array.of_list xs in
-      let n = Array.length items in
-      let slots = Array.init n (fun _ -> Atomic.make Sv_free) in
-      let cursor = Atomic.make 0 in
-      let filled = Atomic.make 0 in
-      let run_item i =
-        let t0 = Fv_obs.Clock.now () in
-        let r, died =
-          match Fv_obs.Span.with_row i (fun () -> f items.(i)) with
-          | y -> (Ok y, None)
-          | exception Budget.Canceled { elapsed_ms; limit_ms } ->
-              (* same clean early return as map_result: the element is
-                 answered [Timed_out] by the worker's own publish, the
-                 worker survives — zero detaches, zero replacement
-                 domains under pure-timeout load *)
-              ( Error
-                  (Timed_out
-                     {
-                       wall_seconds = elapsed_ms /. 1000.0;
-                       limit =
-                         (match limit_ms with
-                         | Some l -> l /. 1000.0
-                         | None -> elapsed_ms /. 1000.0);
-                     }),
-                None )
-          | exception (Kill_worker _ as e) ->
-              ( Error
-                  (Raised { exn = e; backtrace = Printexc.get_raw_backtrace () }),
-                Some e )
-          | exception e ->
-              ( Error
-                  (Raised { exn = e; backtrace = Printexc.get_raw_backtrace () }),
-                None )
-        in
-        let dt = Fv_obs.Clock.elapsed ~since:t0 in
-        Fv_obs.Metrics.incr Fv_obs.Metrics.global "pool_tasks";
-        Fv_obs.Metrics.observe
-          ~labels:[ ("domain", string_of_int (Domain.self () :> int)) ]
-          Fv_obs.Metrics.global "pool_task_seconds" dt;
-        (* same post-hoc check as map_result: an element that finished
-           over budget without being detached (supervisor poll lag) is
-           still reported timed out, so the two entry points agree *)
-        match (r, timeout_s) with
-        | Ok _, Some limit when dt > limit ->
-            (Error (Timed_out { wall_seconds = dt; limit }), died)
-        | _ -> (r, died)
-      in
-      let make_worker id =
-        let w =
-          {
-            w_id = id;
-            w_domain = None;
-            w_item = Atomic.make (-1);
-            w_dom_id = Atomic.make (-1);
-            w_died = Atomic.make None;
-            w_finished = Atomic.make false;
-            w_detached = false;
-            w_reaped = false;
-          }
-        in
-        let body () =
-          Atomic.set w.w_dom_id (Domain.self () :> int);
-          let rec go () =
-            let i = Atomic.fetch_and_add cursor 1 in
-            if i < n then begin
-              Atomic.set w.w_item i;
-              let tok = Sv_running { start = Fv_obs.Clock.now (); worker = id } in
-              Atomic.set slots.(i) tok;
-              let r, died = run_item i in
-              let published = Atomic.compare_and_set slots.(i) tok (Sv_done r) in
-              if published then ignore (Atomic.fetch_and_add filled 1);
-              match died with
-              | Some e -> Atomic.set w.w_died (Some e)
-              | None -> if published then go () (* detached: stop here *)
-            end
-          in
-          (try go () with e -> Atomic.set w.w_died (Some e));
-          Atomic.set w.w_finished true
-        in
-        w.w_domain <- Some (Domain.spawn body);
-        w
-      in
-      let workers = ref (List.init (min requested n) make_worker) in
-      let next_id = ref (List.length !workers) in
-      let restarts = ref 0 in
-      let detached = ref 0 in
-      let respawn () =
-        (* only when unclaimed work remains: every claimed slot already
-           has an owner (a live worker or the supervisor's Timed_out) *)
-        if Atomic.get cursor < n then begin
-          workers := make_worker !next_id :: !workers;
-          incr next_id;
-          incr restarts;
-          Fv_obs.Metrics.incr Fv_obs.Metrics.global "pool_worker_restarts"
         end
       in
-      let reap w =
-        (* the worker set w_finished as its last action, so join cannot
-           block; after the join its domain id is dead and the shard can
-           be retired without losing racing increments *)
-        (match w.w_domain with Some d -> Domain.join d | None -> ());
-        w.w_reaped <- true;
-        Fv_obs.Metrics.retire Fv_obs.Metrics.global
-          ~domain:(Atomic.get w.w_dom_id);
-        match Atomic.get w.w_died with
-        | Some e when not w.w_detached ->
-            (* backstop: should the domain body ever fail outside
-               [run_item], its claimed slot would still be unanswered —
-               the worker is joined, so this CAS cannot race a publish *)
-            let i = Atomic.get w.w_item in
-            (if i >= 0 then
-               match Atomic.get slots.(i) with
-               | Sv_running { worker; _ } as tok when worker = w.w_id ->
-                   if
-                     Atomic.compare_and_set slots.(i) tok
-                       (Sv_done
-                          (Error
-                             (Raised
-                                {
-                                  exn = e;
-                                  backtrace = Printexc.get_raw_backtrace ();
-                                })))
-                   then ignore (Atomic.fetch_and_add filled 1)
-               | _ -> ());
-            event (Sv_died { index = i; exn = e });
-            respawn ()
-        | Some _ | None ->
-            (* normal exit, or a detached worker that later died: the
-               detach already answered the slot and respawned *)
-            ()
+      go ();
+      Atomic.set w.finished true
+    in
+    let workers = ref [] in
+    let spawn () =
+      let w =
+        {
+          finished = Atomic.make false;
+          died = Atomic.make None;
+          detached = false;
+        }
       in
-      while Atomic.get filled < n do
+      workers := (w, Domain.spawn (body w)) :: !workers
+    in
+    let respawn () =
+      (* only while unclaimed work remains: every claimed slot already
+         has an owner (a live worker, or the caller's Timed_out) *)
+      if Atomic.get cursor < n then begin
+        spawn ();
+        Fv_obs.Metrics.incr Fv_obs.Metrics.global "pool_worker_restarts"
+      end
+    in
+    let reap ((w, d) as wd) =
+      Domain.join d;
+      workers := List.filter (fun x -> x != wd) !workers;
+      match Atomic.get w.died with
+      | None -> ()
+      | Some (index, exn) ->
+          (* the domain has terminated, so its metrics shard can be
+             retired without losing a racing increment (see
+             [Fv_obs.Metrics.retire]) *)
+          Fv_obs.Metrics.retire Fv_obs.Metrics.global
+            ~domain:(Domain.get_id d :> int);
+          event (Died { index; exn });
+          respawn ()
+    in
+    for _ = 1 to min requested n do
+      spawn ()
+    done;
+    (match timeout_s with
+    | None ->
+        (* a worker exits only once the cursor is exhausted or it died,
+           and a death with work left respawns — so joining until no
+           worker remains answers every slot *)
+        while !workers <> [] do
+          reap (List.hd !workers)
+        done
+    | Some limit ->
+        while Atomic.get filled < n do
+          List.iter
+            (fun ((w, _) as wd) -> if Atomic.get w.finished then reap wd)
+            !workers;
+          let now = Fv_obs.Clock.now () in
+          Array.iteri
+            (fun index cell ->
+              match Atomic.get cell with
+              | Running { start; owner } as tok when now -. start > limit ->
+                  let wall_seconds = now -. start in
+                  if
+                    Atomic.compare_and_set cell tok
+                      (Done (Error (Timed_out { wall_seconds; limit })))
+                  then begin
+                    Atomic.incr filled;
+                    owner.detached <- true;
+                    event (Detached { index; wall_seconds; limit });
+                    respawn ()
+                  end
+              | _ -> ())
+            slots;
+          if Atomic.get filled < n then Unix.sleepf 0.002
+        done;
+        (* every slot is answered: the remaining non-detached workers
+           are exiting, so joining them is prompt; a detached worker
+           still inside its element is leaked *)
         List.iter
-          (fun w -> if (not w.w_reaped) && Atomic.get w.w_finished then reap w)
-          !workers;
-        (match timeout_s with
-        | None -> ()
-        | Some limit ->
-            let now = Fv_obs.Clock.now () in
-            Array.iteri
-              (fun i cell ->
-                match Atomic.get cell with
-                | Sv_running { start; worker } as tok
-                  when now -. start > limit ->
-                    let wall = now -. start in
-                    if
-                      Atomic.compare_and_set cell tok
-                        (Sv_done (Error (Timed_out { wall_seconds = wall; limit })))
-                    then begin
-                      ignore (Atomic.fetch_and_add filled 1);
-                      (match
-                         List.find_opt (fun w -> w.w_id = worker) !workers
-                       with
-                      | Some w -> w.w_detached <- true
-                      | None -> ());
-                      incr detached;
-                      event (Sv_detached { index = i; wall_seconds = wall; limit });
-                      respawn ()
-                    end
-                | _ -> ())
-              slots);
-        if Atomic.get filled < n then Unix.sleepf poll_s
-      done;
-      (* all slots are answered. Non-detached workers are exiting (their
-         next cursor fetch is >= n), so joining them is prompt; detached
-         workers are joined only if they already finished, otherwise
-         they are leaked — the price of preemption-free domains. *)
-      List.iter
-        (fun w ->
-          if (not w.w_reaped) && ((not w.w_detached) || Atomic.get w.w_finished)
-          then reap w)
-        !workers;
-      let results =
-        Array.to_list
-          (Array.map
-             (fun c ->
-               match Atomic.get c with Sv_done r -> r | _ -> assert false)
-             slots)
-      in
-      (results, { sv_restarts = !restarts; sv_detached = !detached })
+          (fun ((w, _) as wd) ->
+            if (not w.detached) || Atomic.get w.finished then reap wd)
+          !workers);
+    Array.to_list
+      (Array.map
+         (fun c -> match Atomic.get c with Done r -> r | _ -> assert false)
+         slots)
 
-(** [map_ordered ?domains f xs] is [List.map f xs], evaluated by a pool
-    of [domains] worker domains (default {!default_domains}). The
-    output preserves input order regardless of completion order. If any
-    application of [f] raises, all domains are still joined, and then
-    the exception of the {e earliest} failing input (with its original
-    backtrace) is re-raised. [f] must not rely on shared mutable state
-    across elements. *)
+(** [map_ordered ?domains f xs] is [List.map f xs] on the pool: if any
+    application raises, every element still runs, then the exception of
+    the {e earliest} failing input is re-raised with its backtrace. *)
 let map_ordered ?domains (f : 'a -> 'b) (xs : 'a list) : 'b list =
-  let results = map_result ?domains f xs in
-  List.iter
+  List.map
     (function
+      | Ok y -> y
       | Error (Raised { exn; backtrace }) ->
           Printexc.raise_with_backtrace exn backtrace
-      | Error (Timed_out _) | Ok _ -> ())
-    results;
-  List.map (function Ok y -> y | Error _ -> assert false) results
+      | Error f -> failwith (failure_message f))
+    (map ?domains f xs)

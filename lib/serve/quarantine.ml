@@ -1,10 +1,11 @@
 (** Repeat-offender table for poison requests.
 
-    The supervised pool answers a wedged or worker-killing request and
-    replaces the domain it burned, but replacement alone is not enough:
-    a client hot-looping the {e same} poison request would cost one
+    The pool ({!Fv_parallel.Pool.map}) answers a wedged or
+    worker-killing request and replaces the domain it burned, but
+    replacement alone is not enough: a client hot-looping the {e same}
+    poison request would cost one
     leaked domain per occurrence and eventually exhaust the machine.
-    This table bounds that: every supervised failure strikes the
+    This table bounds that: every pool-level failure strikes the
     offending request (content-addressed by the FNV-1a64 of its exact
     line bytes), and once a request reaches [max_strikes] the server
     refuses it up front with an [error] response — no domain is ever
@@ -82,7 +83,7 @@ let persist (t : t) (line : string) (h : int64) : unit =
         Fv_obs.Metrics.incr Fv_obs.Metrics.global
           "serve_quarantine_persist_errors")
 
-(** Record one supervised failure of [line]; returns the new strike
+(** Record one pool-level failure of [line]; returns the new strike
     count. The first strike persists the reproducer. *)
 let strike (t : t) ~(line : string) : int =
   let h = hash_line line in
@@ -107,9 +108,11 @@ let strikes (t : t) ~(line : string) : int =
       | Some e when String.equal e.q_line line -> e.q_strikes
       | Some _ | None -> 0)
 
-(** Should [line] be refused without claiming a pool domain? *)
-let blocked (t : t) ~(line : string) : bool =
-  strikes t ~line >= t.max_strikes
-
 let size (t : t) : int = Mutex.protect t.lock (fun () -> Cache.length t.cache)
+
+(** Should [line] be refused without claiming a pool domain? The server
+    asks for every request, so the common case — nothing ever struck —
+    answers without hashing the line. *)
+let blocked (t : t) ~(line : string) : bool =
+  size t > 0 && strikes t ~line >= t.max_strikes
 let max_strikes (t : t) : int = t.max_strikes

@@ -25,13 +25,13 @@
       response write path catches [EPIPE]/[Sys_error], so a client
       disconnecting mid-response drops that connection, never the
       daemon.
-    - {b Supervised batches}: with [supervised] (or a quarantine table
-      or chaos plan) set, batches run on {!Pool.map_supervised} — a
+    - {b Self-healing batches}: every batch runs on {!Pool.map} — a
       request that wedges past [row_timeout] or kills its worker is
       answered ([deadline-exceeded] / [error]) immediately and the
       burned domain replaced, and every such pool-level failure strikes
-      the {!Quarantine} table so a repeating poison request is refused
-      up front instead of draining the pool one domain at a time.
+      the {!Quarantine} table (when one is configured) so a repeating
+      poison request is refused up front instead of draining the pool
+      one domain at a time.
     - {b Graceful shutdown}: {!request_shutdown} (wired to
       SIGINT/SIGTERM by {!install_signal_handlers}) makes every blocking
       point a bounded [select] poll; the serve loop stops reading,
@@ -189,13 +189,10 @@ type opts = {
   batch : int;  (** requests handed to the pool per drain *)
   queue_cap : int;  (** bounded in-flight queue; beyond it we shed *)
   row_timeout : float option;
-      (** per-request wall budget enforced by the pool, the bench
-          harness's [--row-timeout]; a wedged request becomes a
-          [deadline-exceeded] response instead of stalling the batch *)
-  supervised : bool;
-      (** run batches on {!Pool.map_supervised}: a wedged request is
-          answered at the deadline (not after it finishes) and its
-          burned worker replaced. Implied by [quarantine] or [chaos]. *)
+      (** the pool's detach deadline: a request still running after
+          this many seconds is answered [deadline-exceeded] and its
+          worker replaced. The backstop for code that never polls a
+          budget; [deadline-ms] is the cooperative deadline *)
   quarantine : Quarantine.t option;
       (** repeat-offender table; pool-level failures strike it and
           blocked requests are refused without claiming a domain *)
@@ -212,7 +209,6 @@ let default_opts =
     batch = 32;
     queue_cap = 256;
     row_timeout = None;
-    supervised = false;
     quarantine = None;
     chaos = None;
     brownout_lo = 0.5;
@@ -242,9 +238,6 @@ let serve_fd (scfg : Service.cfg) (o : opts) ~(in_fd : Unix.file_descr)
   (* queue entries carry their admission time so queue wait counts
      against the request's deadline downstream *)
   let q : (int * string * float) Batcher.t = Batcher.create ~cap:o.queue_cap () in
-  let supervised =
-    o.supervised || Option.is_some o.quarantine || Option.is_some o.chaos
-  in
   (* a client that hangs up mid-batch kills this connection, nothing
      else: with SIGPIPE ignored the failed write surfaces as Sys_error /
      EPIPE here, we stop writing and unwind *)
@@ -382,7 +375,7 @@ let serve_fd (scfg : Service.cfg) (o : opts) ~(in_fd : Unix.file_descr)
     | Pool.Raised { exn; _ } ->
         respond_failure line P.Internal_error (Printexc.to_string exn)
   in
-  let handle_supervised ~brownout (items : (int * string * float) list) :
+  let handle_batch ~brownout (items : (int * string * float) list) :
       string list =
     (* refuse known poison up front: a blocked request costs one hash
        lookup, never a pool domain *)
@@ -408,10 +401,8 @@ let serve_fd (scfg : Service.cfg) (o : opts) ~(in_fd : Unix.file_descr)
       | None -> ());
       Service.handle ~admitted ~brownout scfg line
     in
-    let results, _stats =
-      Pool.map_supervised ~domains:n_domains ?timeout_s:o.row_timeout
-        ~on_event:(fun _ -> note "serve_worker_restarts")
-        work to_run
+    let results =
+      Pool.map ~domains:n_domains ?timeout_s:o.row_timeout work to_run
     in
     let answered =
       List.map2
@@ -435,22 +426,6 @@ let serve_fd (scfg : Service.cfg) (o : opts) ~(in_fd : Unix.file_descr)
       | _ -> assert false
     in
     merge tagged answered
-  in
-  let handle_batch ~brownout (items : (int * string * float) list) :
-      string list =
-    if supervised then handle_supervised ~brownout items
-    else
-      let one (_, line, admitted) =
-        Service.handle ~admitted ~brownout scfg line
-      in
-      if n_domains <= 1 then List.map one items
-      else
-        Pool.map_result ~domains:n_domains ?timeout_s:o.row_timeout one items
-        |> List.map2
-             (fun (_, line, _) -> function
-               | Ok resp -> resp
-               | Error f -> failure_response line f)
-             items
   in
   (* brownout level is computed once per batch from the queue
      watermarks, by this single orchestrator loop; workers receive it

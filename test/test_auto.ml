@@ -24,7 +24,7 @@ let show_picks (picks : (string * E.strategy) list) : string =
 
 let test_decisions_domain_deterministic () =
   let picks ~domains =
-    Pool.map_result ~domains
+    Pool.map ~domains
       (fun (spec : R.spec) -> (spec.R.name, (pick_for spec).E.a_chosen))
       R.all
     |> List.map (function

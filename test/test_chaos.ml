@@ -114,7 +114,6 @@ let test_differential_oracle () =
       domains = Some 1;
       batch = 16;
       queue_cap = 4096;
-      supervised = true;
     }
   in
   let baseline = serve_lines ~cfg:(fresh_cfg ()) base_opts lines in

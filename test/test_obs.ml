@@ -182,7 +182,7 @@ let test_metrics_snapshot_reset () =
 (* Retiring a dead domain's shard must be exactly-once: the events move
    to the retired accumulator (same totals), a second retire is a
    no-op, and a later domain that recycles the id starts from zero
-   instead of resurrecting the dead shard. This is the supervised
+   instead of resurrecting the dead shard. This is the domain
    pool's restart path — double-counting here inflated every snapshot
    taken during a worker replacement. *)
 let test_metrics_retire_exactly_once () =

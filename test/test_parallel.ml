@@ -47,11 +47,19 @@ let test_exception_propagation () =
              if x mod 5 = 3 then failwith (Printf.sprintf "boom%d" x) else x)
            (List.init 16 Fun.id)))
 
-let test_map_result_captures_failures () =
+(* pool_worker_restarts from the global registry: tests read deltas *)
+let restarts () =
+  List.fold_left
+    (fun acc (s : Fv_obs.Metrics.snap) ->
+      if s.s_name = "pool_worker_restarts" then acc + s.s_count else acc)
+    0
+    (Fv_obs.Metrics.snapshot Fv_obs.Metrics.global)
+
+let test_map_captures_failures () =
   (* a raising element becomes an [Error (Raised _)] row in its input
      position; every other element still completes *)
   let outcomes =
-    P.map_result ~domains:3
+    P.map ~domains:3
       (fun x -> if x mod 4 = 2 then failwith (Printf.sprintf "bad%d" x) else x * 10)
       (List.init 8 Fun.id)
   in
@@ -73,10 +81,53 @@ let test_map_result_captures_failures () =
        | Error f -> P.failure_message f
        | Ok _ -> ""))
 
-let test_map_result_timeout () =
-  (* the slow element is reported as timed out post-hoc; fast ones pass *)
+(* A wedged element is answered [Timed_out] at the deadline — it only
+   returns once [stop] is set, after [map] has returned — its worker is
+   detached, and a replacement finishes the rest: with [~domains:1]
+   that is the only way the remaining elements can complete at all. *)
+let test_map_detaches_wedged () =
+  let stop = Atomic.make false in
+  let events = ref [] in
+  let before = restarts () in
+  let f x =
+    if x = 0 then
+      while not (Atomic.get stop) do
+        Unix.sleepf 0.002
+      done;
+    x * 10
+  in
+  let results =
+    Fun.protect
+      ~finally:(fun () -> Atomic.set stop true (* unwedge the leaked domain *))
+      (fun () ->
+        P.map ~domains:1 ~timeout_s:0.05
+          ~on_event:(fun e -> events := e :: !events)
+          f (List.init 8 Fun.id))
+  in
+  Alcotest.(check int) "all answered" 8 (List.length results);
+  (match List.hd results with
+  | Error (P.Timed_out { wall_seconds; limit }) ->
+      Alcotest.(check (float 1e-9)) "limit echoed" 0.05 limit;
+      Alcotest.(check bool) "wall past the limit" true (wall_seconds >= limit)
+  | _ -> Alcotest.fail "wedged element not answered Timed_out");
+  List.iteri
+    (fun i r ->
+      if i > 0 then
+        match r with
+        | Ok v -> Alcotest.(check int) (Printf.sprintf "element %d" i) (i * 10) v
+        | Error f -> Alcotest.failf "element %d failed: %s" i (P.failure_message f))
+    results;
+  (match !events with
+  | [ P.Detached { index = 0; _ } ] -> ()
+  | _ -> Alcotest.fail "expected exactly one Detached event, for element 0");
+  Alcotest.(check int) "one replacement domain" 1 (restarts () - before)
+
+(* A slow element is answered [Timed_out] at the deadline with the
+   limit echoed, while the fast ones pass; the deadline only detaches,
+   so an element that finishes under it keeps its value, however slow. *)
+let test_map_times_out_slow () =
   let outcomes =
-    P.map_result ~domains:2 ~timeout_s:0.05
+    P.map ~domains:2 ~timeout_s:0.05
       (fun x ->
         if x = 1 then Unix.sleepf 0.2;
         x)
@@ -95,10 +146,108 @@ let test_map_result_timeout () =
                 | Ok x -> string_of_int x
                 | Error f -> P.failure_message f)
               outcomes)));
-  (* without a timeout the same slow element is fine *)
-  match P.map_result ~domains:2 (fun x -> x) [ 0; 1; 2 ] with
+  match
+    P.map ~domains:2 ~timeout_s:5.0
+      (fun x ->
+        if x = 1 then Unix.sleepf 0.05;
+        x)
+      [ 0; 1; 2 ]
+  with
   | [ Ok 0; Ok 1; Ok 2 ] -> ()
-  | _ -> Alcotest.fail "no-timeout run must succeed"
+  | _ -> Alcotest.fail "an element under the deadline must succeed"
+
+(* Kill_worker ends its worker: the element is answered [Raised], the
+   death is reported once, and a replacement domain answers the rest.
+   The deadline is armed (and never fires) so that even [~domains:1]
+   runs on a worker domain rather than the calling one. *)
+let test_map_replaces_dead_worker () =
+  let events = ref [] in
+  let before = restarts () in
+  let f x = if x = 2 then raise (P.Kill_worker "test poison") else x + 100 in
+  let results =
+    P.map ~domains:1 ~timeout_s:60.0
+      ~on_event:(fun e -> events := e :: !events)
+      f (List.init 10 Fun.id)
+  in
+  Alcotest.(check int) "all answered" 10 (List.length results);
+  List.iteri
+    (fun i r ->
+      match (i, r) with
+      | 2, Error (P.Raised { exn = P.Kill_worker _; _ }) -> ()
+      | 2, _ -> Alcotest.fail "killing element not answered Raised"
+      | i, Ok v -> Alcotest.(check int) (Printf.sprintf "element %d" i) (i + 100) v
+      | i, Error f ->
+          Alcotest.failf "element %d failed: %s" i (P.failure_message f))
+    results;
+  (match !events with
+  | [ P.Died { index = 2; exn = P.Kill_worker _ } ] -> ()
+  | _ -> Alcotest.fail "expected exactly one Died event, for element 2");
+  Alcotest.(check int) "one replacement domain" 1 (restarts () - before)
+
+(* The scheduler contract over random element outcomes, on both
+   supervisor paths (blocking joins, and a deadline armed that never
+   fires) and 1-4 domains: exactly one answer per element, in input
+   order, each matching its element's outcome; one [Died] per
+   [Kill_worker] and none for a cooperative cancel. *)
+type outcome = Value | Raise | Cancel | Kill
+
+let prop_map_outcomes =
+  QCheck2.Test.make ~name:"Pool.map answers every element in order" ~count:150
+    ~print:(fun (outs, domains, armed) ->
+      Printf.sprintf "%d elements, domains=%d, armed=%b: %s" (List.length outs)
+        domains armed
+        (String.concat ""
+           (List.map
+              (function
+                | Value -> "v" | Raise -> "r" | Cancel -> "c" | Kill -> "k")
+              outs)))
+    QCheck2.Gen.(
+      triple
+        (list_size (int_range 0 24)
+           (frequency
+              [ (4, return Value); (2, return Raise); (1, return Cancel);
+                (1, return Kill) ]))
+        (int_range 1 4) bool)
+    (fun (outs, domains, armed) ->
+      let xs = List.mapi (fun i o -> (i, o)) outs in
+      let f (i, o) =
+        match o with
+        | Value -> i * 7
+        | Raise -> failwith (string_of_int i)
+        | Cancel ->
+            raise
+              (Fv_parallel.Budget.Canceled
+                 { elapsed_ms = 2.0; limit_ms = Some 1.0 })
+        | Kill -> raise (P.Kill_worker (string_of_int i))
+      in
+      let died = ref [] and detached = ref 0 in
+      let results =
+        P.map ~domains
+          ?timeout_s:(if armed then Some 60.0 else None)
+          ~on_event:(function
+            | P.Died { index; _ } -> died := index :: !died
+            | P.Detached _ -> incr detached)
+          f xs
+      in
+      let answers_match =
+        List.length results = List.length xs
+        && List.for_all2
+             (fun (i, o) r ->
+               match (o, r) with
+               | Value, Ok v -> v = i * 7
+               | Raise, Error (P.Raised { exn = Failure m; _ }) ->
+                   m = string_of_int i
+               | Cancel, Error (P.Timed_out { wall_seconds; limit }) ->
+                   wall_seconds = 0.002 && limit = 0.001
+               | Kill, Error (P.Raised { exn = P.Kill_worker m; _ }) ->
+                   m = string_of_int i
+               | _ -> false)
+             xs results
+      in
+      let kills =
+        List.filter_map (fun (i, o) -> if o = Kill then Some i else None) xs
+      in
+      answers_match && !detached = 0 && List.sort compare !died = kills)
 
 (* ---------------- parallel harness == serial harness ---------------- *)
 
@@ -350,104 +499,6 @@ let test_json_report_shape () =
   Alcotest.(check string) "non-finite floats become null" "null"
     (to_string (Float Float.nan))
 
-(* ---------------- supervised pool ---------------- *)
-
-(* On healthy work the supervised pool is just map_result with a
-   supervisor attached: same values, same order, no restarts. *)
-let test_map_supervised_matches_map_result () =
-  let xs = List.init 50 Fun.id in
-  let f x = if x mod 7 = 3 then failwith (Printf.sprintf "bad%d" x) else x * 3 in
-  let expected = P.map_result ~domains:2 f xs in
-  let got, stats = P.map_supervised ~domains:2 f xs in
-  Alcotest.(check int) "one outcome per input" (List.length expected)
-    (List.length got);
-  List.iteri
-    (fun i (e, g) ->
-      match (e, g) with
-      | Ok a, Ok b -> Alcotest.(check int) (Printf.sprintf "value %d" i) a b
-      | Error (P.Raised { exn = a; _ }), Error (P.Raised { exn = b; _ }) ->
-          Alcotest.(check string)
-            (Printf.sprintf "failure %d" i)
-            (Printexc.to_string a) (Printexc.to_string b)
-      | _ -> Alcotest.failf "outcome %d disagrees with map_result" i)
-    (List.combine expected got);
-  Alcotest.(check int) "no restarts on healthy work" 0 stats.P.sv_restarts;
-  Alcotest.(check int) "no detaches on healthy work" 0 stats.P.sv_detached;
-  let empty, estats = P.map_supervised ~domains:2 succ [] in
-  Alcotest.(check int) "empty input" 0 (List.length empty);
-  Alcotest.(check int) "empty input, no stats" 0
-    (estats.P.sv_restarts + estats.P.sv_detached)
-
-(* A wedged element is answered [Timed_out] at the deadline — not when
-   it eventually finishes — its worker is detached, and a replacement
-   finishes the rest of the inputs. With [~domains:1] the replacement
-   is the only way the remaining elements can complete at all. *)
-let test_map_supervised_detaches_wedged () =
-  let stop = Atomic.make false in
-  let events = ref [] in
-  let f x =
-    if x = 0 then begin
-      while not (Atomic.get stop) do
-        Unix.sleepf 0.002
-      done;
-      x
-    end
-    else x * 10
-  in
-  let results, stats =
-    P.map_supervised ~domains:1 ~timeout_s:0.05
-      ~on_event:(fun e -> events := e :: !events)
-      f (List.init 8 Fun.id)
-  in
-  (* unwedge the abandoned domain so it can exit *)
-  Atomic.set stop true;
-  Alcotest.(check int) "all answered" 8 (List.length results);
-  (match List.hd results with
-  | Error (P.Timed_out { wall_seconds; limit }) ->
-      Alcotest.(check (float 1e-9)) "limit echoed" 0.05 limit;
-      Alcotest.(check bool) "wall past the limit" true (wall_seconds >= limit)
-  | _ -> Alcotest.fail "wedged element not answered Timed_out");
-  List.iteri
-    (fun i r ->
-      if i > 0 then
-        match r with
-        | Ok v -> Alcotest.(check int) (Printf.sprintf "element %d" i) (i * 10) v
-        | Error f -> Alcotest.failf "element %d failed: %s" i (P.failure_message f))
-    results;
-  Alcotest.(check int) "one detach" 1 stats.P.sv_detached;
-  Alcotest.(check bool) "replacement spawned" true (stats.P.sv_restarts >= 1);
-  Alcotest.(check bool) "detach event surfaced" true
-    (List.exists
-       (function P.Sv_detached { index = 0; _ } -> true | _ -> false)
-       !events)
-
-(* Kill_worker escapes the per-element handler by design: the element
-   is answered [Raised], the domain dies, and the supervisor's
-   replacement still answers every remaining element. *)
-let test_map_supervised_restarts_dead_worker () =
-  let events = ref [] in
-  let f x =
-    if x = 2 then raise (P.Kill_worker "test poison") else x + 100
-  in
-  let results, stats =
-    P.map_supervised ~domains:1
-      ~on_event:(fun e -> events := e :: !events)
-      f (List.init 10 Fun.id)
-  in
-  Alcotest.(check int) "all answered" 10 (List.length results);
-  List.iteri
-    (fun i r ->
-      match (i, r) with
-      | 2, Error (P.Raised { exn = P.Kill_worker _; _ }) -> ()
-      | 2, _ -> Alcotest.fail "killing element not answered Raised"
-      | i, Ok v -> Alcotest.(check int) (Printf.sprintf "element %d" i) (i + 100) v
-      | i, Error f ->
-          Alcotest.failf "element %d failed: %s" i (P.failure_message f))
-    results;
-  Alcotest.(check bool) "replacement spawned" true (stats.P.sv_restarts >= 1);
-  Alcotest.(check bool) "death event surfaced" true
-    (List.exists (function P.Sv_died _ -> true | _ -> false) !events)
-
 let suite =
   [
     Alcotest.test_case "pool preserves order" `Quick
@@ -455,16 +506,15 @@ let suite =
     Alcotest.test_case "pool edge cases" `Quick test_map_ordered_edges;
     Alcotest.test_case "pool propagates first exception" `Quick
       test_exception_propagation;
-    Alcotest.test_case "map_result captures per-element failures" `Quick
-      test_map_result_captures_failures;
-    Alcotest.test_case "map_result enforces wall-clock timeouts" `Quick
-      test_map_result_timeout;
-    Alcotest.test_case "map_supervised == map_result on healthy work" `Quick
-      test_map_supervised_matches_map_result;
-    Alcotest.test_case "map_supervised detaches a wedged worker" `Quick
-      test_map_supervised_detaches_wedged;
-    Alcotest.test_case "map_supervised survives a dying worker" `Quick
-      test_map_supervised_restarts_dead_worker;
+    Alcotest.test_case "Pool.map captures per-element failures" `Quick
+      test_map_captures_failures;
+    Alcotest.test_case "Pool.map detaches a wedged worker" `Quick
+      test_map_detaches_wedged;
+    Alcotest.test_case "Pool.map times out a slow element" `Quick
+      test_map_times_out_slow;
+    Alcotest.test_case "Pool.map survives a dying worker" `Quick
+      test_map_replaces_dead_worker;
+    QCheck_alcotest.to_alcotest prop_map_outcomes;
     Alcotest.test_case "figure8: parallel == serial" `Slow
       test_figure8_parallel_equals_serial;
     Alcotest.test_case "figure8: poisoned row degrades gracefully" `Slow

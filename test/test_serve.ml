@@ -629,6 +629,58 @@ let test_brownout_ladder () =
   Alcotest.(check (option string)) "plan says scalar" (Some "scalar")
     (P.one_atom "plan" (fields_of_response resp))
 
+(* [--row-timeout] holds at every domain count: a simulate request that
+   runs far past it is answered [deadline-exceeded] by the pool's detach
+   with one domain as well as with two. The detached worker finishes
+   the request on its own shortly after. *)
+let slow_case ~trip : Gen.case =
+  (* a long loop over short arrays, so the request line stays small *)
+  let a = Array.init 64 (fun i -> Fv_isa.Value.Int (i mod 7)) in
+  {
+    Gen.label = "slow";
+    seed = 0;
+    loop =
+      Fv_ir.Builder.(
+        let j = var "i" % int 64 in
+        loop ~name:"slow" ~index:"i" ~hi:(int trip)
+          [
+            if_else
+              (load "a" j % int 3 = int 0)
+              [ assign "x" (load "a" j * int 5) ]
+              [ assign "x" (load "b" j) ];
+            store "b" j (var "x");
+          ]);
+    arrays = [ ("a", a); ("b", Array.copy a) ];
+    env = [];
+    vl = 16;
+  }
+
+let test_row_timeout_any_domain_count () =
+  Server.reset_shutdown ();
+  let row_timeout = 0.005 in
+  let line = Loadgen.simulate_request_line ~id:"slow" (slow_case ~trip:5_000) in
+  let t0 = Fv_obs.Clock.now () in
+  let direct = Service.handle (fresh_cfg ()) line in
+  let cost = Fv_obs.Clock.elapsed ~since:t0 in
+  Alcotest.(check string) "the request itself succeeds" "ok" (status_of direct);
+  Alcotest.(check bool)
+    (Printf.sprintf "its run (%.3f s) is >= 10x the row timeout" cost)
+    true
+    (cost >= 10.0 *. row_timeout);
+  List.iter
+    (fun domains ->
+      let o =
+        { Server.default_opts with domains = Some domains;
+          row_timeout = Some row_timeout }
+      in
+      match serve_lines o [ line ] with
+      | [ r ] ->
+          Alcotest.(check string)
+            (Printf.sprintf "domains=%d: answered at the row timeout" domains)
+            "deadline-exceeded" (status_of r)
+      | rs -> Alcotest.failf "domains=%d: %d responses" domains (List.length rs))
+    [ 1; 2 ]
+
 (* a request whose deadline is already blown at admission never claims
    a worker: the server answers it straight from the admit path *)
 let test_expired_at_admission () =
@@ -789,4 +841,6 @@ let suite =
       `Quick test_client_death_mid_batch;
     Alcotest.test_case "graceful shutdown drains without EOF" `Quick
       test_graceful_shutdown;
+    Alcotest.test_case "row timeout holds at 1 and 2 domains" `Quick
+      test_row_timeout_any_domain_count;
   ]
