@@ -9,7 +9,14 @@
     power of two (it always is for the Table 1 configuration): the
     replay loop probes the hierarchy dozens of times per load once
     prefetch fills are counted, so this path is worth keeping free of
-    divisions and allocation. *)
+    divisions and allocation.
+
+    A cache is reused across replays ({!Hierarchy.with_cold}), so
+    {!reset} must restore the exact state {!create} builds, and cheaply:
+    a short trace touches a few dozen of the L3's 4096 sets. The miss
+    path therefore records each set the first time it fills one; the
+    hit path needs no bookkeeping, because a hit can only land in a set
+    that some miss already filled. *)
 
 type t = {
   name : string;
@@ -18,12 +25,21 @@ type t = {
   line_elems : int;  (** elements per line *)
   line_shift : int;  (** log2 [line_elems], or -1 if not a power of two *)
   set_mask : int;  (** [sets - 1], or -1 if [sets] is not a power of two *)
-  tags : int array;  (** [set * ways + way] -> line address, -1 = invalid *)
+  tags : int array;  (** [set * ways + way] -> line address, {!invalid} = empty *)
   lru : int array;  (** [set * ways + way] -> last-use stamp *)
+  filled : int array;
+      (** [filled.(0 .. nfilled - 1)]: base index ([set * ways]) of each
+          set filled since the last reset, each set once *)
+  mutable nfilled : int;
   mutable stamp : int;
   mutable hits : int;
   mutable misses : int;
 }
+
+(** Tag of an empty way. Not [-1]: negative addresses (unmapped
+    speculative accesses) floor to negative lines, and line [-1] must
+    not hit an empty way. *)
+let invalid = min_int
 
 let log2_pow2 n =
   let rec go k = if 1 lsl k = n then k else if 1 lsl k > n then -1 else go (k + 1) in
@@ -41,19 +57,29 @@ let create ~name ~size_bytes ~ways ?(line_bytes = 64) ?(elem_bytes = 4) () : t =
     line_elems;
     line_shift = log2_pow2 line_elems;
     set_mask = (if log2_pow2 sets >= 0 then sets - 1 else -1);
-    tags = Array.make (sets * ways) (-1);
+    tags = Array.make (sets * ways) invalid;
     lru = Array.make (sets * ways) 0;
+    filled = Array.make sets 0;
+    nfilled = 0;
     stamp = 0;
     hits = 0;
     misses = 0;
   }
 
+(** The line holding [addr], rounding toward minus infinity, so the
+    elements of a line are contiguous on both sides of zero. *)
 let line_of (c : t) (addr : int) =
-  if c.line_shift >= 0 && addr >= 0 then addr lsr c.line_shift
-  else addr / c.line_elems
+  if c.line_shift >= 0 then addr asr c.line_shift
+  else
+    let q = addr / c.line_elems in
+    if q * c.line_elems > addr then q - 1 else q
 
+(** The set of [line], in [\[0, sets)] for negative lines too. *)
 let set_of (c : t) (line : int) =
-  if c.set_mask >= 0 && line >= 0 then line land c.set_mask else line mod c.sets
+  if c.set_mask >= 0 then line land c.set_mask
+  else
+    let r = line mod c.sets in
+    if r < 0 then r + c.sets else r
 
 (** Access one element address: [true] on hit. Fills on miss. *)
 let access (c : t) (addr : int) : bool =
@@ -71,6 +97,13 @@ let access (c : t) (addr : int) : bool =
   end
   else begin
     c.misses <- c.misses + 1;
+    (* a set's first fill goes to way 0 (every stamp is still 0), and a
+       filled way is never emptied again before a reset: an empty way 0
+       marks a set this miss is the first to fill *)
+    if Array.unsafe_get tags base = invalid then begin
+      c.filled.(c.nfilled) <- base;
+      c.nfilled <- c.nfilled + 1
+    end;
     (* evict LRU way *)
     let victim = ref 0 in
     for w = 1 to ways - 1 do
@@ -82,8 +115,16 @@ let access (c : t) (addr : int) : bool =
     false
   end
 
+(** Restore the state {!create} builds. Costs one pass over the sets
+    filled since the last reset, not over the whole cache. *)
 let reset (c : t) =
-  Array.fill c.tags 0 (Array.length c.tags) (-1);
+  for i = 0 to c.nfilled - 1 do
+    let base = c.filled.(i) in
+    Array.fill c.tags base c.ways invalid;
+    Array.fill c.lru base c.ways 0
+  done;
+  c.nfilled <- 0;
+  c.stamp <- 0;
   c.hits <- 0;
   c.misses <- 0
 

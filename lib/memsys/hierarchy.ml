@@ -82,10 +82,55 @@ let access_range (h : t) (addr : int) (nelems : int) : int =
   done;
   !lat
 
+(** Restore the state [table1 ~prefetch_depth:h.prefetch_depth ()]
+    builds; costs what the last use touched. *)
 let reset (h : t) =
   Cache.reset h.l1;
   Cache.reset h.l2;
-  Cache.reset h.l3
+  Cache.reset h.l3;
+  Array.fill h.prefetch_streams 0 (Array.length h.prefetch_streams) (-100);
+  h.prefetches <- 0
+
+(* Free hierarchies by prefetch depth, shared by every domain. Not
+   [Domain.DLS]: the pool spawns fresh domains for every batch, so
+   per-domain state would die with each one. *)
+let free_lock = Mutex.create ()
+let free : (int, t list) Hashtbl.t = Hashtbl.create 4
+
+(** [with_cold ~prefetch_depth f] runs [f] on a hierarchy in exactly the
+    state [table1 ~prefetch_depth ()] builds, without allocating one: it
+    takes a free hierarchy from a process-wide pool (building one only
+    when none is free, counted as [sim_hierarchies_built]), resets it,
+    and returns it to the pool when [f] returns or raises. A hierarchy
+    returned dirty by a canceled replay is cleaned by the next reset,
+    and the pool holds at most as many hierarchies per depth as were
+    ever in use at once. [f] must not keep the hierarchy. *)
+let with_cold ?(prefetch_depth = 4) (f : t -> 'a) : 'a =
+  let free_list () =
+    Option.value ~default:[] (Hashtbl.find_opt free prefetch_depth)
+  in
+  let taken =
+    Mutex.protect free_lock (fun () ->
+        match free_list () with
+        | h :: rest ->
+            Hashtbl.replace free prefetch_depth rest;
+            Some h
+        | [] -> None)
+  in
+  let h =
+    match taken with
+    | Some h ->
+        reset h;
+        h
+    | None ->
+        Fv_obs.Metrics.incr Fv_obs.Metrics.global "sim_hierarchies_built";
+        table1 ~prefetch_depth ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Mutex.protect free_lock (fun () ->
+          Hashtbl.replace free prefetch_depth (h :: free_list ())))
+    (fun () -> f h)
 
 let pp ppf (h : t) =
   Fmt.pf ppf "%a@.%a@.%a" Cache.pp h.l1 Cache.pp h.l2 Cache.pp h.l3

@@ -4,7 +4,7 @@
     of the trace content, the machine configuration, the hierarchy
     configuration (geometry is fixed; only the prefetch depth varies),
     the scheduling mode and the watchdog threshold — every replay starts
-    from a fresh cold hierarchy and a fresh predictor. The sweeps
+    from a cold hierarchy and a fresh predictor. The sweeps
     re-simulate identical traces dozens of times (the strategy
     comparison re-runs every Figure 8 workload verbatim), so a
     process-wide cache keyed on those inputs turns the repeats into
@@ -32,6 +32,12 @@
     but still {e store} their (identical with or without recording)
     statistics, so a traced run warms the cache for the untraced replay
     that usually follows it.
+
+    The cold hierarchy is not allocated per replay: an uncached replay
+    borrows one from {!Fv_memsys.Hierarchy.with_cold}'s pool, reset to
+    exactly the state [Hierarchy.table1 ~prefetch_depth ()] builds, so
+    the statistics are those of a fresh hierarchy without the 2 MiB
+    Table 1 model (mostly the L3's tags and stamps) allocated each time.
 
     Shared across domains behind a mutex; the simulation itself runs
     outside the lock, so two domains racing on the same key at worst
@@ -86,11 +92,12 @@ let size () = Mutex.protect lock (fun () -> Cache.length !table)
 let set_capacity cap =
   Mutex.protect lock (fun () -> table := Cache.create ~cap ())
 
-(** Memoized [Pipeline.run]. [?prefetch_depth] configures the (fresh,
-    cold) hierarchy each uncached replay runs against, exactly like
-    passing [~hier:(Hierarchy.table1 ~prefetch_depth ())] to
-    {!Pipeline.run}; [?fault_key] names the fault plan that shaped the
-    trace (default: no injection). *)
+(** Memoized [Pipeline.run]. [?prefetch_depth] configures the cold
+    hierarchy each uncached replay runs against: a pooled one reset to
+    the fresh state, so the result equals passing
+    [~hier:(Hierarchy.table1 ~prefetch_depth ())] to {!Pipeline.run};
+    [?fault_key] names the fault plan that shaped the trace (default: no
+    injection). *)
 let stats ?budget ?(cfg = Machine.table1) ?(prefetch_depth = 4)
     ?(mode : Pipeline.mode = `Event) ?(max_cycles = 400_000_000)
     ?(fault_key = "") ?(record : Pipeline.timing option) (trace : Sink.t) :
@@ -114,11 +121,11 @@ let stats ?budget ?(cfg = Machine.table1) ?(prefetch_depth = 4)
   | Some _ ->
       note "sim_cache_bypass";
       let s =
-        (* a canceled replay raises out of [Pipeline.run] before the
-           store below, so a partial simulation is never memoized *)
-        Pipeline.run ?budget ~cfg
-          ~hier:(Fv_memsys.Hierarchy.table1 ~prefetch_depth ())
-          ~mode ~max_cycles ?record trace
+        (* a canceled replay raises out of [Pipeline.run_compiled] before
+           the store below, so a partial simulation is never memoized *)
+        Fv_memsys.Hierarchy.with_cold ~prefetch_depth (fun hier ->
+            Pipeline.run_compiled ?budget ~cfg ~hier ~mode ~max_cycles ?record
+              ct)
       in
       store k s;
       s
@@ -131,9 +138,9 @@ let stats ?budget ?(cfg = Machine.table1) ?(prefetch_depth = 4)
           note "sim_cache_misses";
           let s =
             Fv_obs.Span.with_ ~cat:"sim" "replay" (fun () ->
-                Pipeline.run_compiled ?budget ~cfg
-                  ~hier:(Fv_memsys.Hierarchy.table1 ~prefetch_depth ())
-                  ~mode ~max_cycles ct)
+                Fv_memsys.Hierarchy.with_cold ~prefetch_depth (fun hier ->
+                    Pipeline.run_compiled ?budget ~cfg ~hier ~mode ~max_cycles
+                      ct))
           in
           store k s;
           s)

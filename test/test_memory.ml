@@ -179,6 +179,118 @@ let test_prefetcher_hides_stream () =
     (Printf.sprintf "few stream misses (%d)" !misses)
     true (!misses < 20)
 
+(* ---------------- exact reset and negative addresses ------------- *)
+
+(* One access: a unit-stride range of [n] elements at [addr]. The bases
+   step by 4096 lines, which maps every base to the same set in L1, L2
+   and L3; 41 bases overflow even the L3's 32 ways. Small offsets keep a
+   stream within a few sets (evictions, LRU order, stream training),
+   large ones spread it over many. *)
+let gen_stream : (int * int) list G.t =
+  let open G in
+  list_size (int_range 0 400)
+    (let* base = int_range 0 40 in
+     let* off = oneof [ int_range 0 63; int_range 0 4095 ] in
+     let* n = oneof [ return 1; int_range 1 32 ] in
+     return ((base * 16 * 4096) + off, n))
+
+let run_stream h stream =
+  List.map (fun (addr, n) -> Hierarchy.access_range h addr n) stream
+
+let counters (h : Hierarchy.t) =
+  List.concat_map
+    (fun (c : Cache.t) -> [ c.Cache.hits; c.Cache.misses ])
+    [ h.Hierarchy.l1; h.Hierarchy.l2; h.Hierarchy.l3 ]
+  @ [ h.Hierarchy.prefetches ]
+
+(* Dirty a hierarchy, reset it, and replay a second stream: every
+   latency and every counter must match a fresh [table1]. *)
+let prop_reset_is_cold depth =
+  QCheck2.Test.make ~count:60
+    ~print:(fun (dirty, probe) ->
+      Printf.sprintf "dirty stream of %d accesses, probe of %d"
+        (List.length dirty) (List.length probe))
+    ~name:
+      (Printf.sprintf "reset hierarchy replays like a fresh one (prefetch %d)"
+         depth)
+    G.(pair gen_stream gen_stream)
+    (fun (dirty, probe) ->
+      let h = Hierarchy.table1 ~prefetch_depth:depth () in
+      ignore (run_stream h dirty);
+      Hierarchy.reset h;
+      let fresh = Hierarchy.table1 ~prefetch_depth:depth () in
+      let got = run_stream h probe in
+      let want = run_stream fresh probe in
+      (got = want || QCheck2.Test.fail_report "per-access latencies differ")
+      && (counters h = counters fresh
+         || QCheck2.Test.fail_report "hit/miss/prefetch counters differ"))
+
+(* Field by field: a reset cache is the one [create] builds. *)
+let test_reset_state_is_fresh () =
+  let same (a : Cache.t) (b : Cache.t) =
+    a.Cache.tags = b.Cache.tags && a.Cache.lru = b.Cache.lru
+    && a.Cache.nfilled = b.Cache.nfilled
+    && a.Cache.stamp = b.Cache.stamp
+    && a.Cache.hits = b.Cache.hits
+    && a.Cache.misses = b.Cache.misses
+  in
+  let h = Hierarchy.table1 () in
+  for a = 0 to 20_000 do
+    ignore (Hierarchy.access h ((a * 37) land 0xfffff))
+  done;
+  Alcotest.(check bool) "dirty L3 differs" false
+    (same h.Hierarchy.l3 (Hierarchy.table1 ()).Hierarchy.l3);
+  Hierarchy.reset h;
+  let fresh = Hierarchy.table1 () in
+  List.iter
+    (fun (name, a, b) -> Alcotest.(check bool) name true (same a b))
+    [
+      ("L1", h.Hierarchy.l1, fresh.Hierarchy.l1);
+      ("L2", h.Hierarchy.l2, fresh.Hierarchy.l2);
+      ("L3", h.Hierarchy.l3, fresh.Hierarchy.l3);
+    ];
+  Alcotest.(check (array int))
+    "stream table" fresh.Hierarchy.prefetch_streams
+    h.Hierarchy.prefetch_streams;
+  Alcotest.(check int) "prefetches" 0 h.Hierarchy.prefetches
+
+(* Negative addresses (unmapped speculative accesses) floor to their
+   line and land in a set inside the tag arrays, for power-of-two
+   geometries and others. *)
+let test_negative_addresses () =
+  let h = Hierarchy.table1 () in
+  (* 24 lines of 12 elements in 12 sets: neither is a power of two *)
+  let odd =
+    Cache.create ~name:"odd" ~size_bytes:(24 * 48) ~ways:2 ~line_bytes:48 ()
+  in
+  let probes =
+    List.init 5000 (fun i -> -i - 1)
+    @ [ -(1 lsl 20); -(1 lsl 40) - 3; min_int / 2; 0; 15; 16; 1 lsl 30 ]
+  in
+  List.iter
+    (fun (c : Cache.t) ->
+      let bad =
+        List.filter
+          (fun a ->
+            let l = Cache.line_of c a in
+            let s = Cache.set_of c l in
+            l * c.Cache.line_elems > a
+            || a >= (l + 1) * c.Cache.line_elems
+            || s < 0 || s >= c.Cache.sets)
+          probes
+      in
+      Alcotest.(check (list int))
+        (c.Cache.name ^ ": every address floors to its line and set")
+        [] bad)
+    [ h.Hierarchy.l1; h.Hierarchy.l2; h.Hierarchy.l3; odd ];
+  let c = Cache.create ~name:"t" ~size_bytes:1024 ~ways:2 () in
+  Alcotest.(check bool) "line -1 misses cold" false (Cache.access c (-1));
+  Alcotest.(check bool) "same line hits" true (Cache.access c (-16));
+  Alcotest.(check bool) "line -2 misses" false (Cache.access c (-17));
+  Alcotest.(check bool) "line 0 is another line" false (Cache.access c 0);
+  Alcotest.(check int) "hierarchy: line -1 misses cold" 200
+    (Hierarchy.access (Hierarchy.table1 ~prefetch_depth:0 ()) (-1))
+
 let suite =
   [
     Alcotest.test_case "alloc/load/store" `Quick test_alloc_load_store;
@@ -191,6 +303,15 @@ let suite =
     Alcotest.test_case "cache LRU eviction" `Quick test_cache_lru_eviction;
     Alcotest.test_case "hierarchy latencies" `Quick test_hierarchy_latencies;
     Alcotest.test_case "stream prefetcher" `Quick test_prefetcher_hides_stream;
+    Alcotest.test_case "reset restores the fresh cache state" `Quick
+      test_reset_state_is_fresh;
+    Alcotest.test_case "negative addresses stay inside the tag arrays" `Quick
+      test_negative_addresses;
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_snapshot_restore_roundtrip; prop_clone_independent ]
+      [
+        prop_snapshot_restore_roundtrip;
+        prop_clone_independent;
+        prop_reset_is_cold 0;
+        prop_reset_is_cold 4;
+      ]

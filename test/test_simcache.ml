@@ -3,7 +3,10 @@
     {!Fv_ooo.Pipeline.run}, across every registry kernel, strategy and
     fault seed — and the key must be sound, so changing the fault plan,
     the machine, the prefetch depth, the mode or the watchdog threshold
-    can never serve a stale entry. *)
+    can never serve a stale entry. Replays borrow pooled hierarchies
+    ({!Fv_memsys.Hierarchy.with_cold}), so the oracle is also run on
+    hierarchies dirtied by other traces, by a canceled replay and by
+    concurrent domains. *)
 
 open Fv_isa
 module Sink = Fv_trace.Sink
@@ -49,38 +52,58 @@ let trace_kernel ?plan (spec : R.spec) strategy : Sink.t =
           ignore (Fv_ir.Interp.run ~hk m e b.K.loop)));
   sink
 
+let label (spec : R.spec) strategy fault_key =
+  Printf.sprintf "%s/%s/%s" spec.name
+    (match strategy with `Scalar -> "scalar" | `Flexvec -> "flexvec")
+    fault_key
+
 (* Every kernel x {scalar, flexvec} x {no faults, seed 1, seed 2}: the
    first cached call must equal a fresh uncached replay, and the second
-   cached call (a hit) must equal the first. *)
+   cached call (a hit) must equal the first. Then, after a clear, every
+   case again in reverse order: each miss now replays on a pooled
+   hierarchy that other traces dirtied, and must still equal fresh. *)
 let test_cached_equals_fresh_all_kernels () =
   Simcache.clear ();
+  let cases =
+    List.concat_map
+      (fun (spec : R.spec) ->
+        List.map
+          (fun (strategy, plan) ->
+            let sink = trace_kernel ?plan spec strategy in
+            let fresh =
+              Pipeline.run ~hier:(Fv_memsys.Hierarchy.table1 ()) sink
+            in
+            let fault_key = Plan.fingerprint plan in
+            let c1 = Simcache.stats ~fault_key sink in
+            let c2 = Simcache.stats ~fault_key sink in
+            let msg suffix =
+              Printf.sprintf "%s: %s" (label spec strategy fault_key) suffix
+            in
+            Alcotest.(check bool)
+              (msg "cached == fresh") true
+              (compare fresh c1 = 0);
+            Alcotest.(check bool) (msg "hit == miss") true (compare c1 c2 = 0);
+            (spec, strategy, plan, fresh))
+          [
+            (`Scalar, None);
+            (`Flexvec, None);
+            (`Flexvec, Some (Plan.make ~rate:0.05 ~seed:1 ()));
+            (`Flexvec, Some (Plan.make ~rate:0.05 ~seed:2 ()));
+          ])
+      R.all
+  in
+  Simcache.clear ();
   List.iter
-    (fun (spec : R.spec) ->
-      List.iter
-        (fun (strategy, plan) ->
-          let sink = trace_kernel ?plan spec strategy in
-          let fresh =
-            Pipeline.run ~hier:(Fv_memsys.Hierarchy.table1 ()) sink
-          in
-          let fault_key = Plan.fingerprint plan in
-          let c1 = Simcache.stats ~fault_key sink in
-          let c2 = Simcache.stats ~fault_key sink in
-          let msg suffix =
-            Printf.sprintf "%s/%s/%s: %s" spec.name
-              (match strategy with `Scalar -> "scalar" | `Flexvec -> "flexvec")
-              fault_key suffix
-          in
-          Alcotest.(check bool)
-            (msg "cached == fresh") true
-            (compare fresh c1 = 0);
-          Alcotest.(check bool) (msg "hit == miss") true (compare c1 c2 = 0))
-        [
-          (`Scalar, None);
-          (`Flexvec, None);
-          (`Flexvec, Some (Plan.make ~rate:0.05 ~seed:1 ()));
-          (`Flexvec, Some (Plan.make ~rate:0.05 ~seed:2 ()));
-        ])
-    R.all
+    (fun (spec, strategy, plan, fresh) ->
+      let fault_key = Plan.fingerprint plan in
+      let again =
+        Simcache.stats ~fault_key (trace_kernel ?plan spec strategy)
+      in
+      Alcotest.(check bool)
+        (label spec strategy fault_key ^ ": reused hierarchy == fresh")
+        true
+        (compare fresh again = 0))
+    (List.rev cases)
 
 let chain n =
   let s = Sink.create () in
@@ -206,6 +229,78 @@ let test_compiled_hash () =
   Alcotest.(check bool) "different dependence structure differs" false
     (Int64.equal h1 h5)
 
+(* [n] loads, one line apart: every replay fills thousands of sets *)
+let loads n =
+  let s = Sink.create () in
+  for i = 0 to n - 1 do
+    Sink.push s (Uop.make ~dst:"x" ~addr:(i * 16) Latency.Load)
+  done;
+  s
+
+let fresh_run s = Pipeline.run ~hier:(Fv_memsys.Hierarchy.table1 ()) s
+
+(* A replay canceled mid-trace returns its hierarchy to the pool dirty
+   (the budget is polled after 4096 scheduler rounds, thousands of loads
+   in); the next replays must still see a cold hierarchy. *)
+let test_canceled_replay_leaves_no_trace () =
+  Simcache.clear ();
+  let long = loads 50_000 in
+  let budget = Fv_parallel.Budget.create ~deadline_s:0.0 () in
+  (match Simcache.stats ~budget long with
+  | _ -> Alcotest.fail "a past deadline must cancel the replay"
+  | exception Fv_parallel.Budget.Canceled _ -> ());
+  Alcotest.(check int) "the canceled replay is not memoized" 0
+    (Simcache.size ());
+  let probe = trace_kernel (List.hd R.all) `Flexvec in
+  Alcotest.(check bool)
+    "next replay == fresh" true
+    (compare (fresh_run probe) (Simcache.stats probe) = 0);
+  Alcotest.(check bool)
+    "the canceled trace itself == fresh" true
+    (compare (fresh_run long) (Simcache.stats long) = 0)
+
+(* Replays on four domains at once, each on its own pooled hierarchy,
+   equal serial replays on fresh ones. *)
+let test_parallel_replays_equal_fresh () =
+  let sinks =
+    List.concat_map
+      (fun spec -> [ trace_kernel spec `Scalar; trace_kernel spec `Flexvec ])
+      R.all
+  in
+  let fresh = List.map fresh_run sinks in
+  Simcache.clear ();
+  let got = Fv_parallel.Pool.map ~domains:4 Simcache.stats sinks in
+  List.iteri
+    (fun i (want, got) ->
+      match got with
+      | Ok s ->
+          Alcotest.(check bool)
+            (Printf.sprintf "trace %d: parallel == fresh" i)
+            true
+            (compare want s = 0)
+      | Error e ->
+          Alcotest.failf "trace %d: %s" i (Fv_parallel.Pool.failure_message e))
+    (List.combine fresh got)
+
+(* Hundreds of replays build no more hierarchies than ran at once: at
+   most one per worker domain, and none once the pool holds a free one. *)
+let test_hierarchy_pool_bounded () =
+  Simcache.clear ();
+  let built () = counter "sim_hierarchies_built" in
+  let b0 = built () in
+  let results = Fv_parallel.Pool.map ~domains:4 Simcache.stats (chains 1 300) in
+  Alcotest.(check bool)
+    "every replay answered" true
+    (List.for_all Result.is_ok results);
+  let workers = min 4 (Domain.recommended_domain_count ()) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d built for %d workers" (built () - b0) workers)
+    true
+    (built () - b0 <= workers);
+  let b1 = built () in
+  List.iter (fun s -> ignore (Simcache.stats s)) (chains 301 500);
+  Alcotest.(check int) "serial replays reuse the pool" b1 (built ())
+
 let suite =
   [
     Alcotest.test_case "cached == fresh on every kernel/strategy/faults"
@@ -220,4 +315,10 @@ let suite =
       test_bounded_eviction;
     Alcotest.test_case "content hash: deterministic, sensitive, alpha-blind"
       `Quick test_compiled_hash;
+    Alcotest.test_case "a canceled replay leaves the next one cold" `Quick
+      test_canceled_replay_leaves_no_trace;
+    Alcotest.test_case "4-domain replays == fresh serial replays" `Slow
+      test_parallel_replays_equal_fresh;
+    Alcotest.test_case "hierarchy pool: at most one per worker" `Quick
+      test_hierarchy_pool_bounded;
   ]
