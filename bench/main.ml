@@ -1,7 +1,8 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (§5) plus the ablation sweeps for its secondary claims,
-   then runs Bechamel micro-benchmarks of the emulated FlexVec
-   primitives and the simulation pipeline itself.
+   runs Bechamel micro-benchmarks of the emulated FlexVec primitives and
+   the simulation pipeline itself, and drives the compile service under
+   load, injected faults and overload.
 
    Sections:
      table1         — simulated machine configuration (Table 1)
@@ -18,6 +19,8 @@
      auto           — profile-guided strategy selection: regret vs oracle
      micro          — Bechamel micro-benchmarks
      serve          — compile-service load: cold vs warm plan cache
+     chaos          — the serve loop under seeded fault injection
+     overload       — the serve loop at 0.5x to 4x its measured capacity
 
    Run a subset with:   bench/main.exe table2 figure8
    Options (validated up front, before anything runs):
@@ -33,12 +36,37 @@
      --row-timeout S per-row wall-clock budget (seconds) for figure8,
                     the only section that reads it: an overdue row is
                     canceled cooperatively and becomes an error row
-     --fail-on-degraded exit 1 if any hot run compiled below its
-                    requested strategy (degraded-* compile_status):
-                    registry kernels are expected to vectorize, so a
-                    degradation here is a front-end regression
+     --trace-out DIR one Chrome trace of host spans per section
    Every section additionally writes BENCH_<section>.json (the
-   machine-readable trajectory file) next to the human tables. *)
+   machine-readable trajectory file) next to the human tables.
+
+   Bars: each section checks the numbers it has just computed; a failed
+   bar prints "BAR FAILED <section>: <what>".
+     all      — the metrics snapshot is self-consistent (counter sum ==
+                count; histogram buckets cumulative, the last one +inf
+                and holding every observation)
+     figure8  — no hot run compiled below its requested strategy (a
+                front-end regression); the simulations went through
+                Simcache
+     serve    — per row: no failed warm request, the plan cache within
+                capacity, cold p50 >= 10x warm p50; restart drill: every
+                snapshotted entry restored, none corrupt, restored warm
+                p50 <= 2x in-process, a corrupted reload counts >= 1
+                corrupt entry
+     chaos    — the fault-free baseline answers all ok; every rate
+                answers every request with 0 oracle mismatches; at 0.05
+                availability >= 0.99 and the poison request quarantined;
+                at 0.2 >= 1 worker restart
+     overload — every multiplier answers each request exactly once;
+                goodput >= 0.95x capacity at 2x; pure-timeout leg all
+                deadline-exceeded with 0 restarts; the client delivers
+                everything
+     auto     — every kernel scored with regret >= 0.999; Auto's geomean
+                speedup within 10% of the oracle's; sweeps cover trip,
+                vl and fault, one chosen arm across the fault probes
+   Exit status: 1 on a bad command line (before anything runs) or if a
+   bar failed (after every requested section has run and written its
+   report, so the failing report can be inspected); 0 otherwise. *)
 
 open Fv_core
 module J = Report.Json
@@ -46,26 +74,26 @@ module J = Report.Json
 let section name =
   Printf.printf "\n=== %s %s\n%!" name (String.make (max 1 (70 - String.length name)) '=')
 
-(* hot runs that compiled below their requested strategy, across every
-   section run; consulted by --fail-on-degraded at exit *)
-let degraded : (string * Fv_ir.Validate.diagnostic) list ref = ref []
+(* A bar is a check a section makes on the numbers it has just
+   computed: [bar ok what] fails unless [ok], and [what] says what went
+   wrong. The driver gives each section its own [bar]. *)
+type bar = bool -> string -> unit
 
-let note_degraded ~(label : string) (r : Experiment.hot_run) : unit =
-  match Experiment.rejection_of r.Experiment.compile with
-  | None -> ()
-  | Some d ->
-      Printf.printf "DEGRADED %s (%s): %s\n" label
-        (Experiment.show_compile_status r.Experiment.compile)
-        (Fv_ir.Validate.describe d);
-      degraded := (label, d) :: !degraded
+let counter_total (snaps : Fv_obs.Metrics.snap list) (name : string) : int =
+  List.fold_left
+    (fun acc (s : Fv_obs.Metrics.snap) ->
+      if String.equal s.Fv_obs.Metrics.s_name name then
+        acc + s.Fv_obs.Metrics.s_count
+      else acc)
+    0 snaps
 
-(* Each section prints its human tables and returns the body fields of
-   its JSON report; the driver wraps them in the common envelope
-   (section name, domain count, wall-clock seconds). *)
+(* Each section prints its human tables, checks its bars and returns
+   the body fields of its JSON report; the driver wraps them in the
+   common envelope (section name, domain count, wall-clock seconds). *)
 
 (* ------------------------------------------------------------------ *)
 
-let table1 (_ : Harness.plan) () =
+let table1 (_ : Harness.plan) (_ : bar) =
   section "table1: simulated machine (paper Table 1)";
   let machine = Fv_ooo.Machine.rows Fv_ooo.Machine.table1 in
   let rows =
@@ -103,7 +131,7 @@ let table1 (_ : Harness.plan) () =
            latencies) );
   ]
 
-let figure8 (plan : Harness.plan) () =
+let figure8 (plan : Harness.plan) (bar : bar) =
   section "figure8: application speedup over the AVX-512 baseline";
   let r =
     Figure8.run ~mode:plan.Harness.mode ?domains:plan.Harness.domains
@@ -131,9 +159,25 @@ let figure8 (plan : Harness.plan) () =
       Option.iter
         (fun e -> Printf.printf "WARNING %s: %s\n" row.spec.name e)
         row.flexvec.oracle_error;
-      note_degraded ~label:(row.spec.name ^ "/flexvec") row.flexvec;
-      note_degraded ~label:(row.spec.name ^ "/baseline") row.baseline)
+      List.iter
+        (fun (leg, (run : Experiment.hot_run)) ->
+          Option.iter
+            (fun d ->
+              bar false
+                (Printf.sprintf "%s/%s compiled %s: %s" row.spec.name leg
+                   (Experiment.show_compile_status run.compile)
+                   (Fv_ir.Validate.describe d)))
+            (Experiment.rejection_of run.compile))
+        [ ("flexvec", row.flexvec); ("baseline", row.baseline) ])
     r.rows;
+  (* figure8's wall time rests on the whole-trace memo: a run that
+     bypasses it is a different (and far slower) code path *)
+  let snaps = Fv_obs.Metrics.snapshot Fv_obs.Metrics.global in
+  bar
+    (counter_total snaps "sim_cache_hits"
+     + counter_total snaps "sim_cache_misses"
+    > 0)
+    "no simulation went through Simcache";
   List.iter
     (fun (name, msg) -> Printf.printf "ERROR %s: row failed: %s\n" name msg)
     r.errors;
@@ -154,7 +198,7 @@ let figure8 (plan : Harness.plan) () =
     ("app_geomean", J.Float r.app_geomean);
   ]
 
-let table2 (plan : Harness.plan) () =
+let table2 (plan : Harness.plan) (_ : bar) =
   let domains = plan.Harness.domains in
   section "table2: coverage, trip count and instruction mix";
   let rows = Table2.run ?domains () in
@@ -185,7 +229,7 @@ let table2 (plan : Harness.plan) () =
     ("mixes_matching_paper", J.Int matches);
   ]
 
-let rtm_sweep (plan : Harness.plan) () =
+let rtm_sweep (plan : Harness.plan) (_ : bar) =
   section "rtm-sweep: transactional-speculation tile size (paper: 128-256 within 1-2% of FF)";
   let pts =
     Sweeps.rtm_tile_sweep ~mode:plan.Harness.mode ?domains:plan.Harness.domains
@@ -207,7 +251,7 @@ let rtm_sweep (plan : Harness.plan) () =
   print_string (Report.table rows);
   [ ("rows", J.List (List.map J.of_rtm_point pts)) ]
 
-let strategy_sweep (plan : Harness.plan) () =
+let strategy_sweep (plan : Harness.plan) (_ : bar) =
   let domains = plan.Harness.domains and mode = plan.Harness.mode in
   section "strategy-sweep: FlexVec vs PACT'13 wholesale speculation";
   let per_pattern =
@@ -232,7 +276,7 @@ let strategy_sweep (plan : Harness.plan) () =
   in
   [ ("patterns", J.Obj per_pattern) ]
 
-let trip_sweep (plan : Harness.plan) () =
+let trip_sweep (plan : Harness.plan) (_ : bar) =
   let domains = plan.Harness.domains and mode = plan.Harness.mode in
   section "trip-sweep: speedup vs loop trip count (paper: gains need high trip counts)";
   let pts = Sweeps.trip_sweep ~mode ?domains () in
@@ -246,7 +290,7 @@ let trip_sweep (plan : Harness.plan) () =
   print_string (Report.table rows);
   [ ("rows", J.List (List.map J.of_trip_point pts)) ]
 
-let evl_sweep (plan : Harness.plan) () =
+let evl_sweep (plan : Harness.plan) (_ : bar) =
   let domains = plan.Harness.domains and mode = plan.Harness.mode in
   section "evl-sweep: speedup vs effective vector length";
   let pts = Sweeps.evl_sweep ~mode ?domains () in
@@ -264,7 +308,7 @@ let evl_sweep (plan : Harness.plan) () =
   print_string (Report.table rows);
   [ ("rows", J.List (List.map J.of_evl_point pts)) ]
 
-let vl_sweep (plan : Harness.plan) () =
+let vl_sweep (plan : Harness.plan) (_ : bar) =
   let domains = plan.Harness.domains and mode = plan.Harness.mode in
   section "vl-sweep: ablation over hardware vector length";
   let pts = Sweeps.vl_sweep ~mode ?domains () in
@@ -278,7 +322,7 @@ let vl_sweep (plan : Harness.plan) () =
   print_string (Report.table rows);
   [ ("rows", J.List (List.map J.of_vl_point pts)) ]
 
-let strategies (plan : Harness.plan) () =
+let strategies (plan : Harness.plan) (_ : bar) =
   section "strategies: Figure 8 under each speculation mechanism";
   let pts =
     Sweeps.benchmark_strategies ~mode:plan.Harness.mode
@@ -315,7 +359,7 @@ let strategies (plan : Harness.plan) () =
         ] );
   ]
 
-let prefetch_ablation (plan : Harness.plan) () =
+let prefetch_ablation (plan : Harness.plan) (_ : bar) =
   let domains = plan.Harness.domains and mode = plan.Harness.mode in
   section "prefetch-ablation: the memory subsystem matters for vector access (§5)";
   let pts = Sweeps.prefetch_ablation ~mode ?domains () in
@@ -334,7 +378,7 @@ let prefetch_ablation (plan : Harness.plan) () =
   print_string (Report.table rows);
   [ ("rows", J.List (List.map J.of_prefetch_point pts)) ]
 
-let fault_sweep (plan : Harness.plan) () =
+let fault_sweep (plan : Harness.plan) (_ : bar) =
   section
     "fault-sweep: RTM abort / retry / scalar fallback under injected faults";
   let rates = [ 0.0; 0.0005; 0.002; 0.008; 0.03 ] in
@@ -394,7 +438,7 @@ let fault_sweep (plan : Harness.plan) () =
         (List.map (fun (label, msg) -> J.of_error_row ~label msg) errors) );
   ]
 
-let auto_bench (plan : Harness.plan) () =
+let auto_bench (plan : Harness.plan) (bar : bar) =
   section "auto: profile-guided strategy selection vs the oracle";
   let domains = plan.Harness.domains and mode = plan.Harness.mode in
   let rows = Autobench.kernel_rows ~mode ?domains () in
@@ -417,10 +461,12 @@ let auto_bench (plan : Harness.plan) () =
          rows
   in
   print_string (Report.table table_rows);
+  (* Auto's geomean speedup must stay within 10% of the oracle's *)
+  let min_ratio = 0.9 in
   let auto_g, oracle_g, ratio = Autobench.geomeans rows in
   Printf.printf
-    "\ngeomean speedup: auto %.3fx | oracle %.3fx | ratio %.3f (gate: >= 0.9)\n"
-    auto_g oracle_g ratio;
+    "\ngeomean speedup: auto %.3fx | oracle %.3fx | ratio %.3f (bar: >= %g)\n"
+    auto_g oracle_g ratio min_ratio;
   let sweeps = Autobench.sweep_rows ~mode ?domains () in
   let sweep_table =
     [ "Sweep"; "Point"; "Chosen"; "Regret" ]
@@ -436,17 +482,41 @@ let auto_bench (plan : Harness.plan) () =
   in
   Printf.printf "\noff-grid decision probes:\n";
   print_string (Report.table sweep_table);
-  (* the regret gate is also enforced here, not only by CI's JSON
-     check: a model regression should fail the bench run directly *)
-  if ratio < 0.9 then begin
-    Printf.printf
-      "REGRET GATE FAILED: auto/oracle geomean ratio %.3f < 0.9\n" ratio;
-    degraded :=
-      ( "auto: regret gate",
-        Fv_ir.Validate.internal_error
-          (Printf.sprintf "auto/oracle geomean ratio %.3f < 0.9" ratio) )
-      :: !degraded
-  end;
+  let kernels = List.length Fv_workloads.Registry.all in
+  bar
+    (List.length rows = kernels)
+    (Printf.sprintf "%d of %d kernels scored" (List.length rows) kernels);
+  List.iter
+    (fun (r : Autobench.row) ->
+      (* regret is Auto's cycles over the oracle-best arm's, so it
+         never dips below 1 *)
+      bar (r.b_regret >= 0.999)
+        (Printf.sprintf "%s: regret %.4f < 0.999" r.b_spec.name r.b_regret))
+    rows;
+  bar (ratio >= min_ratio)
+    (Printf.sprintf "auto/oracle geomean ratio %.3f < %g" ratio min_ratio);
+  List.iter
+    (fun sweep ->
+      bar
+        (List.exists
+           (fun (s : Autobench.sweep_row) -> s.s_sweep = sweep)
+           sweeps)
+        (Printf.sprintf "no %s sweep probe" sweep))
+    [ "trip"; "vl"; "fault" ];
+  (* faults perturb the measured arms, never the warmup profile, so
+     every fault-rate probe of the same workload decides alike *)
+  let fault_picks =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun (s : Autobench.sweep_row) ->
+           if s.s_sweep = "fault" then Some (J.strategy_atom s.s_chosen)
+           else None)
+         sweeps)
+  in
+  bar
+    (List.length fault_picks = 1)
+    (Printf.sprintf "fault probes chose [%s], not one arm"
+       (String.concat "; " fault_picks));
   [
     ("rows", J.List (List.map J.of_auto_row rows));
     ( "geomeans",
@@ -463,11 +533,10 @@ let auto_bench (plan : Harness.plan) () =
 (* Bechamel micro-benchmarks                                           *)
 (* ------------------------------------------------------------------ *)
 
-let micro (_ : Harness.plan) () =
+let micro (_ : Harness.plan) (_ : bar) =
   section "micro: Bechamel micro-benchmarks of emulated primitives";
   let open Bechamel in
   let open Fv_isa in
-  let vl = 16 in
   let w = Mask.of_bits "1111111111111111" in
   let stop = Mask.of_bits "0000001010000001" in
   let v1 = Vreg.of_int_list [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 1; 5; 7; 9; 9; 10; 10 ] in
@@ -500,7 +569,6 @@ let micro (_ : Harness.plan) () =
              ignore (Fv_simd.Exec.run vloop m e)));
     ]
   in
-  ignore vl;
   let benchmark test =
     let ols =
       Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
@@ -545,17 +613,38 @@ let micro (_ : Harness.plan) () =
 (* compile-service load generator                                      *)
 (* ------------------------------------------------------------------ *)
 
+module Plancache = Fv_serve.Plancache
+module Client = Fv_serve.Client
+
 let percentile (sorted : float array) (p : float) : float =
   let n = Array.length sorted in
   if n = 0 then 0.0
   else sorted.(min (n - 1) (int_of_float (p *. float_of_int (n - 1) +. 0.5)))
 
+(* one load row; latencies in microseconds *)
+type serve_row = {
+  sv_requests : int;
+  sv_domains : int;
+  sv_cold_p50 : float;
+  sv_cold_p99 : float;
+  sv_warm_p50 : float;
+  sv_warm_p99 : float;
+  sv_failed : int;  (** warm requests the pool answered with an error *)
+  sv_rps : float;
+  sv_wall : float;
+  sv_cache : Plancache.t;
+}
+
+let cold_over_warm (r : serve_row) =
+  r.sv_cold_p50 /. Float.max r.sv_warm_p50 1e-9
+
 (* One load row: a fresh plan cache, a cold pass touching every distinct
    loop once, then [n] warm requests cycling the pool. Latencies are
    per-request wall seconds ([Fv_obs.Clock], measured inside the worker
-   for the parallel rows). *)
-let serve_row ~(n : int) ~(domains : int) (lines : string array) =
-  let cache = Fv_serve.Plancache.create ~cap:1024 () in
+   for the parallel rows). A failed warm request has no latency: it is
+   counted, and left out of the percentiles rather than taken as 0 us. *)
+let serve_row ~(n : int) ~(domains : int) (lines : string array) : serve_row =
+  let cache = Plancache.create ~cap:1024 () in
   let scfg = Fv_serve.Service.cfg ~cache () in
   let k = Array.length lines in
   let one line =
@@ -565,10 +654,15 @@ let serve_row ~(n : int) ~(domains : int) (lines : string array) =
   in
   let cold = Array.map one lines in
   let lat = Array.make n 0.0 in
+  let answered = ref 0 in
+  let record d =
+    lat.(!answered) <- d;
+    incr answered
+  in
   let t_start = Fv_obs.Clock.now () in
   if domains <= 1 then
     for i = 0 to n - 1 do
-      lat.(i) <- one lines.(i mod k)
+      record (one lines.(i mod k))
     done
   else begin
     (* chunked so the request list never holds the whole run at once *)
@@ -577,23 +671,28 @@ let serve_row ~(n : int) ~(domains : int) (lines : string array) =
     while !i < n do
       let m = min chunk (n - !i) in
       let idxs = List.init m (fun j -> !i + j) in
-      Fv_parallel.Pool.map ~domains (fun j -> (j, one lines.(j mod k)))
-        idxs
-      |> List.iter (function Ok (j, d) -> lat.(j) <- d | Error _ -> ());
+      Fv_parallel.Pool.map ~domains (fun j -> one lines.(j mod k)) idxs
+      |> List.iter (function Ok d -> record d | Error _ -> ());
       i := !i + m
     done
   end;
   let wall = Fv_obs.Clock.elapsed ~since:t_start in
+  let lat = Array.sub lat 0 !answered in
   Array.sort compare cold;
   Array.sort compare lat;
   let us x = 1e6 *. x in
-  ( us (percentile cold 0.50),
-    us (percentile cold 0.99),
-    us (percentile lat 0.50),
-    us (percentile lat 0.99),
-    float_of_int n /. wall,
-    wall,
-    cache )
+  {
+    sv_requests = n;
+    sv_domains = domains;
+    sv_cold_p50 = us (percentile cold 0.50);
+    sv_cold_p99 = us (percentile cold 0.99);
+    sv_warm_p50 = us (percentile lat 0.50);
+    sv_warm_p99 = us (percentile lat 0.99);
+    sv_failed = n - !answered;
+    sv_rps = float_of_int n /. wall;
+    sv_wall = wall;
+    sv_cache = cache;
+  }
 
 (* Warm-restart phase: how much of the warm path survives a restart
    through a --plan-cache-file snapshot? Both measured passes run with a
@@ -602,9 +701,9 @@ let serve_row ~(n : int) ~(domains : int) (lines : string array) =
    that is the path a restarted server takes for its old working set.
    Ends with a deliberate-corruption drill: flip one byte, reload, and
    count the rejected entry instead of crashing. *)
-let serve_restart_phase (lines : string array) =
+let serve_restart_phase (bar : bar) (lines : string array) =
   let cap = 1024 in
-  let cache = Fv_serve.Plancache.create ~cap () in
+  let cache = Plancache.create ~cap () in
   let fill = Fv_serve.Service.cfg ~cache () in
   Array.iter (fun l -> ignore (Fv_serve.Service.handle fill l)) lines;
   let pass scfg =
@@ -622,22 +721,36 @@ let serve_restart_phase (lines : string array) =
   let inproc_p50 = pass (Fv_serve.Service.cfg ~cache ()) in
   let path = Filename.temp_file "flexvec_plancache" ".snap" in
   let saved = Fv_serve.Snapshot.save cache ~path in
-  let cache2 = Fv_serve.Plancache.create ~cap () in
+  let cache2 = Plancache.create ~cap () in
   let restore = Fv_serve.Snapshot.load cache2 ~path in
   let restart_p50 = pass (Fv_serve.Service.cfg ~cache:cache2 ()) in
   (* corruption drill: one flipped byte past the header must cost
      entries, not the process *)
   Fv_serve.Chaos.corrupt_file ~after:64 ~seed:99 path;
-  let cache3 = Fv_serve.Plancache.create ~cap () in
+  let cache3 = Plancache.create ~cap () in
   let corrupted = Fv_serve.Snapshot.load cache3 ~path in
   Sys.remove path;
+  let slowdown = restart_p50 /. Float.max inproc_p50 1e-9 in
   Printf.printf
     "\nrestart: %d entries snapshotted; plan-hit p50 %.1f us in-process vs \
      %.1f us restored (%.2fx); corrupted reload: %d restored, %d corrupt, \
      no crash\n"
-    saved inproc_p50 restart_p50
-    (restart_p50 /. Float.max inproc_p50 1e-9)
+    saved inproc_p50 restart_p50 slowdown
     corrupted.Fv_serve.Snapshot.restored corrupted.Fv_serve.Snapshot.corrupt;
+  bar
+    (saved > 0
+    && restore.Fv_serve.Snapshot.restored = saved
+    && restore.Fv_serve.Snapshot.corrupt = 0)
+    (Printf.sprintf "restart: %d snapshotted, %d restored, %d corrupt" saved
+       restore.Fv_serve.Snapshot.restored restore.Fv_serve.Snapshot.corrupt);
+  (* a restored cache must answer plan hits about as fast as the
+     process that built it *)
+  bar (slowdown <= 2.0)
+    (Printf.sprintf "restart: restored warm p50 %.2fx the in-process one > 2x"
+       slowdown);
+  bar
+    (corrupted.Fv_serve.Snapshot.corrupt >= 1)
+    "restart: the corrupted reload counted no corrupt entry";
   J.Obj
     [
       ("snapshot_entries", J.Int saved);
@@ -645,14 +758,13 @@ let serve_restart_phase (lines : string array) =
       ("restore_corrupt_entries", J.Int restore.Fv_serve.Snapshot.corrupt);
       ("inproc_warm_p50_us", J.Float inproc_p50);
       ("restart_warm_p50_us", J.Float restart_p50);
-      ( "restart_over_inproc_p50",
-        J.Float (restart_p50 /. Float.max inproc_p50 1e-9) );
+      ("restart_over_inproc_p50", J.Float slowdown);
       ( "corrupted_restored_entries",
         J.Int corrupted.Fv_serve.Snapshot.restored );
       ("corrupted_corrupt_entries", J.Int corrupted.Fv_serve.Snapshot.corrupt);
     ]
 
-let serve_bench (plan : Harness.plan) () =
+let serve_bench (plan : Harness.plan) (bar : bar) =
   section "serve: compile-service load (content-addressed plan cache)";
   let pool = Fv_serve.Loadgen.distinct_cases ~n:256 ~seed:11 in
   let lines =
@@ -670,30 +782,24 @@ let serve_bench (plan : Harness.plan) () =
       [ 1_000; 100_000; 1_000_000 ]
   in
   let rows =
-    List.map
-      (fun (n, domains) ->
-        let c50, c99, w50, w99, rps, wall, cache =
-          serve_row ~n ~domains lines
-        in
-        (n, domains, c50, c99, w50, w99, rps, wall, cache))
-      configs
+    List.map (fun (n, domains) -> serve_row ~n ~domains lines) configs
   in
   let table =
     [ "Requests"; "Domains"; "Cold p50/p99 (us)"; "Warm p50/p99 (us)";
       "Cold/warm p50"; "Throughput (req/s)"; "Cache (size<=cap)" ]
     :: List.map
-         (fun (n, d, c50, c99, w50, w99, rps, _, cache) ->
+         (fun r ->
            [
-             string_of_int n;
-             string_of_int d;
-             Printf.sprintf "%.1f / %.1f" c50 c99;
-             Printf.sprintf "%.1f / %.1f" w50 w99;
-             Printf.sprintf "%.1fx" (c50 /. Float.max w50 1e-9);
-             Printf.sprintf "%.0f" rps;
+             string_of_int r.sv_requests;
+             string_of_int r.sv_domains;
+             Printf.sprintf "%.1f / %.1f" r.sv_cold_p50 r.sv_cold_p99;
+             Printf.sprintf "%.1f / %.1f" r.sv_warm_p50 r.sv_warm_p99;
+             Printf.sprintf "%.1fx" (cold_over_warm r);
+             Printf.sprintf "%.0f" r.sv_rps;
              Printf.sprintf "%d<=%d (%d evicted)"
-               (Fv_serve.Plancache.size cache)
-               (Fv_serve.Plancache.capacity cache)
-               (Fv_serve.Plancache.evictions cache);
+               (Plancache.size r.sv_cache)
+               (Plancache.capacity r.sv_cache)
+               (Plancache.evictions r.sv_cache);
            ])
          rows
   in
@@ -702,28 +808,46 @@ let serve_bench (plan : Harness.plan) () =
     "\npool: %d distinct loops; warm requests cycle the pool against a \
      populated cache\n"
     (Array.length lines);
-  let restart = serve_restart_phase lines in
+  List.iter
+    (fun r ->
+      let row =
+        Printf.sprintf "%d requests x %d domains" r.sv_requests r.sv_domains
+      in
+      bar (r.sv_failed = 0)
+        (Printf.sprintf "%s: %d warm requests failed" row r.sv_failed);
+      bar
+        (Plancache.size r.sv_cache <= Plancache.capacity r.sv_cache)
+        (Printf.sprintf "%s: plan cache holds %d > capacity %d" row
+           (Plancache.size r.sv_cache)
+           (Plancache.capacity r.sv_cache));
+      (* the content-addressed cache must pay off *)
+      bar
+        (cold_over_warm r >= 10.0)
+        (Printf.sprintf "%s: cold p50 only %.1fx warm p50 (< 10x)" row
+           (cold_over_warm r)))
+    rows;
+  let restart = serve_restart_phase bar lines in
   [
     ("restart", restart);
     ( "rows",
       J.List
         (List.map
-           (fun (n, d, c50, c99, w50, w99, rps, wall, cache) ->
+           (fun r ->
              J.Obj
                [
-                 ("requests", J.Int n);
-                 ("domains", J.Int d);
+                 ("requests", J.Int r.sv_requests);
+                 ("domains", J.Int r.sv_domains);
                  ("pool_loops", J.Int (Array.length lines));
-                 ("cold_p50_us", J.Float c50);
-                 ("cold_p99_us", J.Float c99);
-                 ("warm_p50_us", J.Float w50);
-                 ("warm_p99_us", J.Float w99);
-                 ("cold_over_warm_p50", J.Float (c50 /. Float.max w50 1e-9));
-                 ("throughput_rps", J.Float rps);
-                 ("warm_wall_seconds", J.Float wall);
-                 ("cache_size", J.Int (Fv_serve.Plancache.size cache));
-                 ("cache_capacity", J.Int (Fv_serve.Plancache.capacity cache));
-                 ("cache_evictions", J.Int (Fv_serve.Plancache.evictions cache));
+                 ("cold_p50_us", J.Float r.sv_cold_p50);
+                 ("cold_p99_us", J.Float r.sv_cold_p99);
+                 ("warm_p50_us", J.Float r.sv_warm_p50);
+                 ("warm_p99_us", J.Float r.sv_warm_p99);
+                 ("cold_over_warm_p50", J.Float (cold_over_warm r));
+                 ("throughput_rps", J.Float r.sv_rps);
+                 ("warm_wall_seconds", J.Float r.sv_wall);
+                 ("cache_size", J.Int (Plancache.size r.sv_cache));
+                 ("cache_capacity", J.Int (Plancache.capacity r.sv_cache));
+                 ("cache_evictions", J.Int (Plancache.evictions r.sv_cache));
                ])
            rows) );
   ]
@@ -731,77 +855,6 @@ let serve_bench (plan : Harness.plan) () =
 (* ------------------------------------------------------------------ *)
 (* chaos: the serve stack under seeded fault injection                 *)
 (* ------------------------------------------------------------------ *)
-
-(* run one full stream through [Server.serve_fd] over a pipe. The
-   writer runs in its own domain: a 64KB pipe buffer deadlocks a
-   single-threaded write-all-then-serve scheme for real streams. With
-   [rate] (lines/second) the writer paces the offered load: each line
-   is written at its scheduled arrival time — or late, if the pipe
-   backpressured — which is exactly what an open-loop load generator
-   degrades to against a saturated server. *)
-let serve_pipe ?rate (scfg : Fv_serve.Service.cfg)
-    (opts : Fv_serve.Server.opts) (lines : string list) : string list =
-  let r, w = Unix.pipe () in
-  let writer =
-    Domain.spawn (fun () ->
-        let wc = Unix.out_channel_of_descr w in
-        let t0 = Fv_obs.Clock.now () in
-        List.iteri
-          (fun i l ->
-            (match rate with
-            | Some rps ->
-                let due = float_of_int i /. rps in
-                let wait = due -. Fv_obs.Clock.elapsed ~since:t0 in
-                if wait > 0.0 then Unix.sleepf wait
-            | None -> ());
-            output_string wc l;
-            output_char wc '\n';
-            if rate <> None then flush wc)
-          lines;
-        close_out wc)
-  in
-  let path = Filename.temp_file "flexvec_chaos" ".out" in
-  let out = open_out path in
-  Fv_serve.Server.serve_fd scfg opts ~in_fd:r ~out;
-  close_out out;
-  (try Unix.close r with Unix.Unix_error _ -> ());
-  Domain.join writer;
-  let ic = open_in path in
-  let rec go acc =
-    match input_line ic with
-    | l -> go (l :: acc)
-    | exception End_of_file ->
-        close_in ic;
-        List.rev acc
-  in
-  let resp = go [] in
-  Sys.remove path;
-  resp
-
-(* "(field atom)" extraction without parsing: responses render fields
-   canonically with a single space *)
-let response_field (line : string) (name : string) : string option =
-  let pat = "(" ^ name ^ " " in
-  let ll = String.length line and lp = String.length pat in
-  let rec find i =
-    if i + lp > ll then None
-    else if String.equal (String.sub line i lp) pat then Some (i + lp)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some start -> (
-      match String.index_from_opt line start ')' with
-      | None -> None
-      | Some stop -> Some (String.sub line start (stop - start)))
-
-let counter_total (snaps : Fv_obs.Metrics.snap list) (name : string) : int =
-  List.fold_left
-    (fun acc (s : Fv_obs.Metrics.snap) ->
-      if String.equal s.Fv_obs.Metrics.s_name name then
-        acc + s.Fv_obs.Metrics.s_count
-      else acc)
-    0 snaps
 
 (* [p]-quantile upper-bound bucket (seconds) of a histogram delta
    between two snapshots, buckets summed across label sets *)
@@ -839,9 +892,26 @@ let histo_quantile_bound ~(p : float) (before : Fv_obs.Metrics.snap list)
       let b = Option.value ~default:last hit in
       if Float.is_finite b then b else 100.0
 
-let histo_p99_bound = histo_quantile_bound ~p:0.99
+(* one chaos run, at one injection rate *)
+type chaos_row = {
+  c_rate : float;
+  c_answered : int;
+  c_ok : int;
+  c_deadline : int;
+  c_error : int;
+  c_overloaded : int;
+  c_injected : int;  (** requests the chaos plan perturbed *)
+  c_availability : float;  (** ok share of the requests chaos left alone *)
+  c_mismatches : int;  (** ok responses that differ from the baseline's *)
+  c_quarantined : int;
+  c_strikes : int;
+  c_restarts : int;
+  c_shed : int;
+  c_p99_bound : float;
+  c_wall : float;
+}
 
-let chaos_bench (plan : Harness.plan) () =
+let chaos_bench (plan : Harness.plan) (bar : bar) =
   section "chaos: serve availability and byte-stability under injection";
   Fv_serve.Server.reset_shutdown ();
   let seed = plan.Harness.fault_seed in
@@ -875,7 +945,9 @@ let chaos_bench (plan : Harness.plan) () =
     | Some d -> d
     | None -> min 4 (Fv_parallel.Pool.default_domains ())
   in
-  let run ~rate =
+  (* one run at [rate]; with a [baseline] (id -> fault-free response)
+     it also counts oracle mismatches *)
+  let run ?baseline ~rate () =
     let chaos =
       if rate > 0.0 then
         Some
@@ -900,7 +972,7 @@ let chaos_bench (plan : Harness.plan) () =
     let scfg = Fv_serve.Service.cfg () in
     let before = Fv_obs.Metrics.snapshot Fv_obs.Metrics.global in
     let t0 = Fv_obs.Clock.now () in
-    let responses = serve_pipe scfg opts lines in
+    let responses = Fv_serve.Loadgen.serve_lines scfg opts lines in
     let wall = Fv_obs.Clock.elapsed ~since:t0 in
     let after = Fv_obs.Metrics.snapshot Fv_obs.Metrics.global in
     (* best-effort quarantine dir cleanup *)
@@ -910,160 +982,102 @@ let chaos_bench (plan : Harness.plan) () =
          (Sys.readdir qdir);
        Unix.rmdir qdir
      with Sys_error _ | Unix.Unix_error _ -> ());
-    let injected_line i l =
-      match chaos with
-      | None -> false
-      | Some c -> Fv_serve.Chaos.action c ~line:l ~ordinal:i <> Fv_serve.Chaos.Pass
-    in
     let injected =
-      List.fold_left ( + ) 0
-        (List.mapi (fun i l -> if injected_line i l then 1 else 0) lines)
+      List.mapi
+        (fun i l ->
+          match chaos with
+          | None -> false
+          | Some c ->
+              Fv_serve.Chaos.action c ~line:l ~ordinal:i <> Fv_serve.Chaos.Pass)
+        lines
     in
     let by_id =
       List.filter_map
-        (fun r ->
-          match response_field r "id" with
-          | Some id -> Some (id, r)
-          | None -> None)
+        (fun r -> Option.map (fun id -> (id, r)) (Client.response_field r "id"))
         responses
     in
-    let status_counts = Hashtbl.create 8 in
-    List.iter
-      (fun r ->
-        let s =
-          Option.value ~default:"?" (response_field r "status")
-        in
-        Hashtbl.replace status_counts s
-          (1 + Option.value ~default:0 (Hashtbl.find_opt status_counts s)))
-      responses;
-    let count s = Option.value ~default:0 (Hashtbl.find_opt status_counts s) in
+    let is_ok r = Client.status_of_response r = Some "ok" in
+    let count s =
+      List.length
+        (List.filter (fun r -> Client.status_of_response r = Some s) responses)
+    in
     (* availability over the non-injected population: every request the
        chaos plan left alone must come back ok *)
-    let non_injected_ok, non_injected =
-      List.fold_left
-        (fun (ok, tot) (i, l) ->
-          if injected_line i l then (ok, tot)
-          else
-            let id = Option.get (response_field l "id") in
-            let got_ok =
-              match List.assoc_opt id by_id with
-              | Some r -> response_field r "status" = Some "ok"
-              | None -> false
-            in
-            ((if got_ok then ok + 1 else ok), tot + 1))
-        (0, 0)
-        (List.mapi (fun i l -> (i, l)) lines)
+    let spared =
+      List.filter_map
+        (fun (l, inj) -> if inj then None else Client.response_field l "id")
+        (List.combine lines injected)
+    in
+    let spared_ok =
+      List.filter
+        (fun id ->
+          Option.fold ~none:false ~some:is_ok (List.assoc_opt id by_id))
+        spared
+    in
+    (* differential oracle: chaos may fail a request, but an [ok]
+       response must be byte-identical to the fault-free run's *)
+    let mismatches =
+      match baseline with
+      | None -> 0
+      | Some base ->
+          List.length
+            (List.filter
+               (fun (id, r) ->
+                 is_ok r
+                 && not
+                      (match List.assoc_opt id base with
+                      | Some b -> String.equal b r
+                      | None -> false))
+               by_id)
     in
     let delta name = counter_total after name - counter_total before name in
-    ( rate,
-      responses,
-      by_id,
-      count "ok",
-      count "deadline-exceeded",
-      count "error",
-      count "overloaded",
-      injected,
-      non_injected_ok,
-      non_injected,
-      delta "serve_quarantined",
-      delta "serve_quarantine_strikes",
-      delta "pool_worker_restarts",
-      delta "serve_shed",
-      histo_p99_bound before after "serve_request_seconds",
-      wall )
+    ( {
+        c_rate = rate;
+        c_answered = List.length responses;
+        c_ok = count "ok";
+        c_deadline = count "deadline-exceeded";
+        c_error = count "error";
+        c_overloaded = count "overloaded";
+        c_injected = List.length (List.filter Fun.id injected);
+        c_availability =
+          float_of_int (List.length spared_ok)
+          /. float_of_int (max 1 (List.length spared));
+        c_mismatches = mismatches;
+        c_quarantined = delta "serve_quarantined";
+        c_strikes = delta "serve_quarantine_strikes";
+        c_restarts = delta "pool_worker_restarts";
+        c_shed = delta "serve_shed";
+        c_p99_bound =
+          histo_quantile_bound ~p:0.99 before after "serve_request_seconds";
+        c_wall = wall;
+      },
+      by_id )
   in
   (* fault-free baseline: the oracle's ground truth *)
-  let ( _,
-        baseline_responses,
-        baseline_by_id,
-        base_ok,
-        _,
-        _,
-        _,
-        _,
-        _,
-        _,
-        _,
-        _,
-        _,
-        _,
-        _,
-        _ ) =
-    run ~rate:0.0
-  in
-  assert (List.length baseline_responses = requests);
-  assert (base_ok = requests);
+  let base, baseline = run ~rate:0.0 () in
+  bar
+    (base.c_answered = requests && base.c_ok = requests)
+    (Printf.sprintf "fault-free baseline: %d of %d answered, %d ok"
+       base.c_answered requests base.c_ok);
   let rates = [ 0.0; 0.01; 0.05; 0.2 ] in
-  let rows =
-    List.map
-      (fun rate ->
-        let ( _,
-              responses,
-              by_id,
-              ok,
-              deadline,
-              error,
-              overloaded,
-              injected,
-              ni_ok,
-              ni,
-              quarantined,
-              strikes,
-              restarts,
-              shed,
-              p99_bound,
-              wall ) =
-          run ~rate
-        in
-        (* differential oracle: chaos may fail a request, but an [ok]
-           response must be byte-identical to the fault-free run's *)
-        let mismatches =
-          List.fold_left
-            (fun acc (id, r) ->
-              if response_field r "status" = Some "ok" then
-                match List.assoc_opt id baseline_by_id with
-                | Some b when String.equal b r -> acc
-                | _ -> acc + 1
-              else acc)
-            0 by_id
-        in
-        let availability =
-          float_of_int ni_ok /. float_of_int (max 1 ni)
-        in
-        ( rate,
-          List.length responses,
-          ok,
-          deadline,
-          error,
-          overloaded,
-          injected,
-          availability,
-          mismatches,
-          quarantined,
-          strikes,
-          restarts,
-          shed,
-          p99_bound,
-          wall ))
-      rates
-  in
+  let rows = List.map (fun rate -> fst (run ~baseline ~rate ())) rates in
   let table =
     [ "Rate"; "Answered"; "ok/ddl/err"; "Injected"; "Avail(non-inj)";
       "Oracle"; "Quarantine(blk/strk)"; "Restarts"; "p99 bucket"; "Wall (s)" ]
     :: List.map
-         (fun ( rate, answered, ok, ddl, err, _ovl, injected, avail, mism,
-                q, strk, restarts, _shed, p99, wall ) ->
+         (fun r ->
            [
-             Printf.sprintf "%.2f" rate;
-             Printf.sprintf "%d/%d" answered requests;
-             Printf.sprintf "%d/%d/%d" ok ddl err;
-             string_of_int injected;
-             Printf.sprintf "%.4f" avail;
-             (if mism = 0 then "ok" else Printf.sprintf "%d MISMATCH" mism);
-             Printf.sprintf "%d/%d" q strk;
-             string_of_int restarts;
-             Printf.sprintf "<=%gs" p99;
-             Printf.sprintf "%.2f" wall;
+             Printf.sprintf "%.2f" r.c_rate;
+             Printf.sprintf "%d/%d" r.c_answered requests;
+             Printf.sprintf "%d/%d/%d" r.c_ok r.c_deadline r.c_error;
+             string_of_int r.c_injected;
+             Printf.sprintf "%.4f" r.c_availability;
+             (if r.c_mismatches = 0 then "ok"
+              else Printf.sprintf "%d MISMATCH" r.c_mismatches);
+             Printf.sprintf "%d/%d" r.c_quarantined r.c_strikes;
+             string_of_int r.c_restarts;
+             Printf.sprintf "<=%gs" r.c_p99_bound;
+             Printf.sprintf "%.2f" r.c_wall;
            ])
          rows
   in
@@ -1072,6 +1086,27 @@ let chaos_bench (plan : Harness.plan) () =
     "\n%d requests per run (%d poison repeats); seed %d; %d domains; \
      20ms row timeout, quarantine after 2 strikes\n"
     requests (List.length poison_positions) seed domains;
+  List.iter
+    (fun r ->
+      (* a lost response means the daemon, or a batch, died *)
+      bar
+        (r.c_answered = requests && r.c_mismatches = 0)
+        (Printf.sprintf "rate %.2f: %d of %d answered, %d oracle mismatches"
+           r.c_rate r.c_answered requests r.c_mismatches))
+    rows;
+  let at rate = List.find (fun r -> r.c_rate = rate) rows in
+  (* the failure model's acceptance bar: at 5% injection the requests
+     chaos left alone stay available, and the hot-looping poison
+     request gets quarantined *)
+  bar
+    ((at 0.05).c_availability >= 0.99)
+    (Printf.sprintf "rate 0.05: availability %.4f < 0.99"
+       (at 0.05).c_availability);
+  bar
+    ((at 0.05).c_quarantined >= 1)
+    "rate 0.05: the poison request was never quarantined";
+  (* injected deaths force pool worker restarts *)
+  bar ((at 0.2).c_restarts >= 1) "rate 0.20: no worker restart";
   [
     ("requests", J.Int requests);
     ("poison_repeats", J.Int (List.length poison_positions));
@@ -1079,25 +1114,24 @@ let chaos_bench (plan : Harness.plan) () =
     ( "rows",
       J.List
         (List.map
-           (fun ( rate, answered, ok, ddl, err, ovl, injected, avail, mism,
-                  q, strk, restarts, shed, p99, wall ) ->
+           (fun r ->
              J.Obj
                [
-                 ("rate", J.Float rate);
-                 ("answered", J.Int answered);
-                 ("ok", J.Int ok);
-                 ("deadline_exceeded", J.Int ddl);
-                 ("error", J.Int err);
-                 ("overloaded", J.Int ovl);
-                 ("injected", J.Int injected);
-                 ("availability_non_injected", J.Float avail);
-                 ("oracle_mismatches", J.Int mism);
-                 ("quarantine_blocked", J.Int q);
-                 ("quarantine_strikes", J.Int strk);
-                 ("worker_restarts", J.Int restarts);
-                 ("shed", J.Int shed);
-                 ("p99_bucket_seconds", J.Float p99);
-                 ("wall_seconds", J.Float wall);
+                 ("rate", J.Float r.c_rate);
+                 ("answered", J.Int r.c_answered);
+                 ("ok", J.Int r.c_ok);
+                 ("deadline_exceeded", J.Int r.c_deadline);
+                 ("error", J.Int r.c_error);
+                 ("overloaded", J.Int r.c_overloaded);
+                 ("injected", J.Int r.c_injected);
+                 ("availability_non_injected", J.Float r.c_availability);
+                 ("oracle_mismatches", J.Int r.c_mismatches);
+                 ("quarantine_blocked", J.Int r.c_quarantined);
+                 ("quarantine_strikes", J.Int r.c_strikes);
+                 ("worker_restarts", J.Int r.c_restarts);
+                 ("shed", J.Int r.c_shed);
+                 ("p99_bucket_seconds", J.Float r.c_p99_bound);
+                 ("wall_seconds", J.Float r.c_wall);
                ])
            rows) );
   ]
@@ -1106,11 +1140,27 @@ let chaos_bench (plan : Harness.plan) () =
 (* overload: deadline-true service under offered load                  *)
 (* ------------------------------------------------------------------ *)
 
-let overload_bench (plan : Harness.plan) () =
+(* one offered-load row *)
+type overload_row = {
+  o_multiplier : float;  (** offered load over measured capacity *)
+  o_answered : int;
+  o_distinct : int;  (** distinct response ids *)
+  o_ok : int;
+  o_ok_degraded : int;  (** ok answers produced under brownout *)
+  o_shed : int;
+  o_deadline : int;
+  o_rejected_cost : int;
+  o_brownout_transitions : int;
+  o_expired_drops : int;
+  o_goodput : float;  (** ok answers per second *)
+  o_p50_bound : float;
+  o_p99_bound : float;
+  o_wall : float;
+}
+
+let overload_bench (_ : Harness.plan) (bar : bar) =
   section "overload: deadline-true compile service under offered load";
   Fv_serve.Server.reset_shutdown ();
-  let seed = plan.Harness.fault_seed in
-  ignore seed;
   (* pick one mid-weight simulation case and replicate it with distinct
      ids: uniform real work per request, so goodput under overload is
      comparable to capacity instead of being noise from a heavy-tailed
@@ -1163,18 +1213,18 @@ let overload_bench (plan : Harness.plan) () =
   let run ?rate opts =
     Fv_serve.Server.reset_shutdown ();
     let scfg =
-      Fv_serve.Service.cfg ~cache:(Fv_serve.Plancache.create ~cap:1024 ()) ()
+      Fv_serve.Service.cfg ~cache:(Plancache.create ~cap:1024 ()) ()
     in
     let before = Fv_obs.Metrics.snapshot Fv_obs.Metrics.global in
     let t0 = Fv_obs.Clock.now () in
-    let responses = serve_pipe ?rate scfg opts lines in
+    let responses = Fv_serve.Loadgen.serve_lines ?rate scfg opts lines in
     let wall = Fv_obs.Clock.elapsed ~since:t0 in
     let after = Fv_obs.Metrics.snapshot Fv_obs.Metrics.global in
     (responses, wall, before, after)
   in
-  let count_ok responses =
+  let with_status st responses =
     List.length
-      (List.filter (fun r -> response_field r "status" = Some "ok") responses)
+      (List.filter (fun r -> Client.status_of_response r = Some st) responses)
   in
   (* measured capacity: the same stream and machinery at full speed in a
      no-shed, no-brownout configuration (queue sized to the stream,
@@ -1186,7 +1236,7 @@ let overload_bench (plan : Harness.plan) () =
       brownout_hi = 2.0 }
   in
   let cap_responses, cap_wall, _, _ = run cap_opts in
-  let cap_ok = count_ok cap_responses in
+  let cap_ok = with_status "ok" cap_responses in
   let capacity = float_of_int cap_ok /. cap_wall in
   Printf.printf
     "work unit: %.3f ms/simulate; measured capacity: %.0f req/s (%d/%d ok, \
@@ -1199,66 +1249,62 @@ let overload_bench (plan : Harness.plan) () =
         let responses, wall, before, after =
           run ~rate:(m *. capacity) opts
         in
-        let by_status st =
-          List.length
-            (List.filter (fun r -> response_field r "status" = Some st)
-               responses)
-        in
         let distinct_ids =
           let ids = Hashtbl.create 64 in
           List.iter
             (fun r ->
-              match response_field r "id" with
+              match Client.response_field r "id" with
               | Some id -> Hashtbl.replace ids id ()
               | None -> ())
             responses;
           Hashtbl.length ids
         in
         let delta name = counter_total after name - counter_total before name in
-        let ok = count_ok responses in
-        (* ok answers produced under brownout (compile-only / degraded
-           plans): still useful, still goodput, but worth seeing *)
-        let ok_degraded =
-          List.length
-            (List.filter
-               (fun r ->
-                 response_field r "status" = Some "ok"
-                 && response_field r "brownout" <> None)
-               responses)
-        in
-        ( m,
-          List.length responses,
-          distinct_ids,
-          ok,
-          ok_degraded,
-          by_status "overloaded",
-          by_status "deadline-exceeded",
-          by_status "rejected-cost",
-          delta "serve_brownout_transitions",
-          delta "serve_expired_drops",
-          float_of_int ok /. wall,
-          histo_quantile_bound ~p:0.50 before after "serve_request_seconds",
-          histo_quantile_bound ~p:0.99 before after "serve_request_seconds",
-          wall ))
+        let ok = with_status "ok" responses in
+        {
+          o_multiplier = m;
+          o_answered = List.length responses;
+          o_distinct = distinct_ids;
+          o_ok = ok;
+          (* compile-only or degraded plans: still useful, still
+             goodput, but worth seeing *)
+          o_ok_degraded =
+            List.length
+              (List.filter
+                 (fun r ->
+                   Client.status_of_response r = Some "ok"
+                   && Client.response_field r "brownout" <> None)
+                 responses);
+          o_shed = with_status "overloaded" responses;
+          o_deadline = with_status "deadline-exceeded" responses;
+          o_rejected_cost = with_status "rejected-cost" responses;
+          o_brownout_transitions = delta "serve_brownout_transitions";
+          o_expired_drops = delta "serve_expired_drops";
+          o_goodput = float_of_int ok /. wall;
+          o_p50_bound =
+            histo_quantile_bound ~p:0.50 before after "serve_request_seconds";
+          o_p99_bound =
+            histo_quantile_bound ~p:0.99 before after "serve_request_seconds";
+          o_wall = wall;
+        })
       multipliers
   in
   let table =
     [ "Offered"; "Answered"; "Distinct"; "Ok"; "Degr"; "Shed"; "Deadline";
       "Goodput"; "p50<=(s)"; "p99<=(s)" ]
     :: List.map
-         (fun ( m, answered, distinct, ok, degr, shed, dl, _, _, _, goodput,
-                p50, p99, _ ) ->
+         (fun r ->
            [
-             Printf.sprintf "%.1fx" m;
-             string_of_int answered;
-             string_of_int distinct;
-             string_of_int ok;
-             string_of_int degr;
-             string_of_int shed;
-             string_of_int dl;
-             Printf.sprintf "%.0f/s" goodput;
-             Printf.sprintf "%.6f" p50;
-             Printf.sprintf "%.6f" p99;
+             Printf.sprintf "%.1fx" r.o_multiplier;
+             string_of_int r.o_answered;
+             string_of_int r.o_distinct;
+             string_of_int r.o_ok;
+             string_of_int r.o_ok_degraded;
+             string_of_int r.o_shed;
+             string_of_int r.o_deadline;
+             Printf.sprintf "%.0f/s" r.o_goodput;
+             Printf.sprintf "%.6f" r.o_p50_bound;
+             Printf.sprintf "%.6f" r.o_p99_bound;
            ])
          rows
   in
@@ -1289,20 +1335,20 @@ let overload_bench (plan : Harness.plan) () =
   in
   let scfg = Fv_serve.Service.cfg () in
   let before = Fv_obs.Metrics.snapshot Fv_obs.Metrics.global in
-  let t_responses = serve_pipe scfg t_opts sim_lines in
+  let t_responses = Fv_serve.Loadgen.serve_lines scfg t_opts sim_lines in
   let after = Fv_obs.Metrics.snapshot Fv_obs.Metrics.global in
-  let t_delta name = counter_total after name - counter_total before name in
-  let t_by st =
-    List.length
-      (List.filter (fun r -> response_field r "status" = Some st) t_responses)
+  let restarts =
+    counter_total after "pool_worker_restarts"
+    - counter_total before "pool_worker_restarts"
   in
-  let restarts = t_delta "pool_worker_restarts" in
+  let t_answered = List.length t_responses
+  and t_deadline = with_status "deadline-exceeded" t_responses in
   Printf.printf
     "\npure-timeout: %d offered, %d answered (%d deadline-exceeded, %d ok), \
      %d worker restarts\n"
-    nt
-    (List.length t_responses)
-    (t_by "deadline-exceeded") (t_by "ok") restarts;
+    nt t_answered t_deadline
+    (with_status "ok" t_responses)
+    restarts;
   (* resilient-client leg: a lossy transport against the same service;
      deadline-aware retries must recover every loss *)
   let scfg_c = Fv_serve.Service.cfg () in
@@ -1321,26 +1367,48 @@ let overload_bench (plan : Harness.plan) () =
   let outcomes =
     List.mapi
       (fun i l ->
-        Fv_serve.Client.call
+        Client.call
           ~policy:
             {
-              Fv_serve.Client.default_policy with
-              Fv_serve.Client.base_backoff_s = 1e-4;
+              Client.default_policy with
+              Client.base_backoff_s = 1e-4;
               max_backoff_s = 1e-3;
             }
           ~seed:i lossy l)
       client_lines
   in
   let delivered =
-    List.length
-      (List.filter (fun o -> o.Fv_serve.Client.response <> None) outcomes)
+    List.length (List.filter (fun o -> o.Client.response <> None) outcomes)
   in
-  let attempts =
-    List.fold_left (fun a o -> a + o.Fv_serve.Client.attempts) 0 outcomes
-  in
+  let attempts = List.fold_left (fun a o -> a + o.Client.attempts) 0 outcomes in
   Printf.printf
     "client: %d/%d delivered over a 1-in-3-lossy transport (%d attempts)\n"
     delivered (List.length client_lines) attempts;
+  (* every offered request is answered exactly once: no lost responses,
+     no duplicates, at any offered load *)
+  List.iter
+    (fun r ->
+      bar
+        (r.o_answered = n && r.o_distinct = n)
+        (Printf.sprintf "%.1fx: %d answered, %d distinct ids, %d offered"
+           r.o_multiplier r.o_answered r.o_distinct n))
+    rows;
+  (* the brownout ladder's contract: degraded answers count as goodput *)
+  let at2 = List.find (fun r -> r.o_multiplier = 2.0) rows in
+  bar
+    (at2.o_goodput /. capacity >= 0.95)
+    (Printf.sprintf "2.0x: goodput %.2fx capacity < 0.95x"
+       (at2.o_goodput /. capacity));
+  bar
+    (t_answered = nt && t_deadline = nt && restarts = 0)
+    (Printf.sprintf
+       "pure-timeout: %d offered, %d answered, %d deadline-exceeded, %d \
+        worker restarts"
+       nt t_answered t_deadline restarts);
+  bar
+    (delivered = List.length client_lines)
+    (Printf.sprintf "client: %d of %d delivered" delivered
+       (List.length client_lines));
   [
     ("capacity_rps", J.Float capacity);
     ("capacity_requests", J.Int n);
@@ -1349,35 +1417,34 @@ let overload_bench (plan : Harness.plan) () =
     ( "rows",
       J.List
         (List.map
-           (fun ( m, answered, distinct, ok, degr, shed, dl, rc, bt, exp_,
-                  goodput, p50, p99, wall ) ->
+           (fun r ->
              J.Obj
                [
-                 ("multiplier", J.Float m);
+                 ("multiplier", J.Float r.o_multiplier);
                  ("offered", J.Int n);
-                 ("answered", J.Int answered);
-                 ("distinct_ids", J.Int distinct);
-                 ("ok", J.Int ok);
-                 ("ok_degraded", J.Int degr);
-                 ("shed", J.Int shed);
-                 ("deadline_exceeded", J.Int dl);
-                 ("rejected_cost", J.Int rc);
-                 ("brownout_transitions", J.Int bt);
-                 ("expired_drops", J.Int exp_);
-                 ("goodput_rps", J.Float goodput);
-                 ("goodput_over_capacity", J.Float (goodput /. capacity));
-                 ("p50_bucket_seconds", J.Float p50);
-                 ("p99_bucket_seconds", J.Float p99);
-                 ("wall_seconds", J.Float wall);
+                 ("answered", J.Int r.o_answered);
+                 ("distinct_ids", J.Int r.o_distinct);
+                 ("ok", J.Int r.o_ok);
+                 ("ok_degraded", J.Int r.o_ok_degraded);
+                 ("shed", J.Int r.o_shed);
+                 ("deadline_exceeded", J.Int r.o_deadline);
+                 ("rejected_cost", J.Int r.o_rejected_cost);
+                 ("brownout_transitions", J.Int r.o_brownout_transitions);
+                 ("expired_drops", J.Int r.o_expired_drops);
+                 ("goodput_rps", J.Float r.o_goodput);
+                 ("goodput_over_capacity", J.Float (r.o_goodput /. capacity));
+                 ("p50_bucket_seconds", J.Float r.o_p50_bound);
+                 ("p99_bucket_seconds", J.Float r.o_p99_bound);
+                 ("wall_seconds", J.Float r.o_wall);
                ])
            rows) );
     ( "pure_timeout",
       J.Obj
         [
           ("offered", J.Int nt);
-          ("answered", J.Int (List.length t_responses));
-          ("ok", J.Int (t_by "ok"));
-          ("deadline_exceeded", J.Int (t_by "deadline-exceeded"));
+          ("answered", J.Int t_answered);
+          ("ok", J.Int (with_status "ok" t_responses));
+          ("deadline_exceeded", J.Int t_deadline);
           ("worker_restarts", J.Int restarts);
         ] );
     ( "client",
@@ -1390,6 +1457,30 @@ let overload_bench (plan : Harness.plan) () =
   ]
 
 (* ------------------------------------------------------------------ *)
+
+(* Every section's metrics snapshot must be self-consistent: a
+   counter's sum round-trips its count, and histogram buckets are
+   cumulative (Prometheus semantics), ending in the +inf bucket that
+   holds every observation. *)
+let metrics_bars (bar : bar) (snaps : Fv_obs.Metrics.snap list) : unit =
+  List.iter
+    (fun (s : Fv_obs.Metrics.snap) ->
+      let what problem = Fmt.str "%a: %s" Fv_obs.Metrics.pp_snap s problem in
+      match s.s_kind with
+      | Fv_obs.Metrics.Counter ->
+          bar (float_of_int s.s_count = s.s_sum) (what "sum differs from count")
+      | Fv_obs.Metrics.Histogram ->
+          let counts = List.map snd s.s_buckets in
+          bar
+            (counts = List.sort compare counts)
+            (what "bucket counts decrease");
+          bar
+            (match List.rev s.s_buckets with
+            | (le, c) :: _ -> le = Float.infinity && c = s.s_count
+            | [] -> false)
+            (what "last bucket is not +inf holding every observation")
+      | Fv_obs.Metrics.Gauge -> ())
+    snaps
 
 let sections =
   [
@@ -1448,15 +1539,23 @@ let () =
       (* discard metrics any earlier in-process run left behind, so each
          section's snapshot covers exactly that section *)
       Fv_obs.Metrics.reset Fv_obs.Metrics.global;
+      let failed_bars = ref 0 in
       let reports =
         List.map
           (fun name ->
             let t_base = Fv_obs.Clock.now () in
             let f = List.assoc name sections in
-            let body, wall = Report.timed (fun () -> f plan ()) in
+            let bar ok what =
+              if not ok then begin
+                Printf.printf "BAR FAILED %s: %s\n%!" name what;
+                incr failed_bars
+              end
+            in
+            let body, wall = Report.timed (fun () -> f plan bar) in
             let metrics =
               Fv_obs.Metrics.snapshot ~reset:true Fv_obs.Metrics.global
             in
+            metrics_bars bar metrics;
             let j =
               J.report ~section:name ~domains:domains_used ~mode:plan.mode
                 ~fault_rate:plan.fault_rate ~fault_seed:plan.fault_seed
@@ -1491,10 +1590,7 @@ let () =
                  ("sections", J.List reports);
                ]))
         plan.json;
-      if plan.fail_on_degraded && !degraded <> [] then begin
-        Printf.eprintf
-          "--fail-on-degraded: %d hot run(s) compiled below their requested \
-           strategy\n"
-          (List.length !degraded);
+      if !failed_bars > 0 then begin
+        Printf.eprintf "%d bar(s) failed\n" !failed_bars;
         exit 1
       end

@@ -5,11 +5,12 @@
      show BENCH                scalar loop, PDG analysis and generated vector code
      profile BENCH             Pin-style loop profile + cost-model decision
      simulate BENCH            simulate scalar vs FlexVec on the Table 1 machine
-     figure8                   reproduce Figure 8
-     table2                    reproduce Table 2
      calibrate                 re-fit the auto-strategy cost model
      fuzz                      differential fuzzing of the front end
-     serve                     long-running compile service (plan cache) *)
+     serve                     long-running compile service (plan cache)
+
+   Figure 8 and Table 2 are sections of the bench harness
+   (bench/main.exe figure8 table2), which also checks their bars. *)
 
 open Cmdliner
 module R = Fv_workloads.Registry
@@ -440,7 +441,7 @@ let fuzz_cmd =
     [ Cmd.v (Cmd.info "run" ~doc:"Run a fuzzing campaign.") fuzz_run_term;
       fuzz_replay_cmd ]
 
-(* ---------------- figure8 / table2 ---------------- *)
+(* ---------------- shared options ---------------- *)
 
 let domains_arg =
   Arg.(
@@ -451,71 +452,9 @@ let domains_arg =
           "Worker domains for parallel row evaluation (default: \
            recommended domain count minus one).")
 
-let json_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "json" ] ~docv:"FILE"
-        ~doc:"Also write a machine-readable JSON report to $(docv).")
-
 let domains_used = function
   | Some d -> d
   | None -> Fv_parallel.Pool.default_domains ()
-
-let write_json ~section ~domains ~wall_seconds body = function
-  | None -> ()
-  | Some path ->
-      (* the CLI always simulates with the default (event) scheduler *)
-      Fv_core.Report.Json.to_file path
-        (Fv_core.Report.Json.report ~section ~domains:(domains_used domains)
-           ~mode:`Event ~wall_seconds body)
-
-let figure8_cmd =
-  let run domains json =
-    let r, wall =
-      Fv_core.Report.timed (fun () -> Fv_core.Figure8.run ?domains ())
-    in
-    List.iter
-      (fun (row : Fv_core.Figure8.row) ->
-        Printf.printf "%-14s hot=%5.2fx overall=%6.3fx%s\n" row.spec.name
-          row.hot row.overall
-          (if row.decision.vectorize then ""
-           else "  (not vectorized: " ^ String.concat "; " row.decision.reasons ^ ")"))
-      r.rows;
-    Printf.printf "geomean SPEC: %.3fx   apps: %.3fx\n" r.spec_geomean
-      r.app_geomean;
-    write_json ~section:"figure8" ~domains ~wall_seconds:wall
-      (match Fv_core.Report.Json.of_figure8_result r with
-      | Fv_core.Report.Json.Obj fields -> fields
-      | j -> [ ("result", j) ])
-      json
-  in
-  Cmd.v (Cmd.info "figure8" ~doc:"Reproduce Figure 8.")
-    Term.(const run $ domains_arg $ json_arg)
-
-let table2_cmd =
-  let run domains json =
-    let rows, wall =
-      Fv_core.Report.timed (fun () -> Fv_core.Table2.run ?domains ())
-    in
-    List.iter
-      (fun (r : Fv_core.Table2.row) ->
-        Printf.printf "%-14s cvg=%5.1f%% trip=%8.1f evl=%7.1f mix=[%s] %s\n"
-          r.spec.name
-          (100. *. r.measured_coverage)
-          r.measured_trip r.measured_evl r.measured_mix
-          (if r.mix_matches then "(matches paper)" else "(DIFFERS from paper)"))
-      rows;
-    write_json ~section:"table2" ~domains ~wall_seconds:wall
-      [
-        ( "rows",
-          Fv_core.Report.Json.List
-            (List.map Fv_core.Report.Json.of_table2_row rows) );
-      ]
-      json
-  in
-  Cmd.v (Cmd.info "table2" ~doc:"Reproduce Table 2.")
-    Term.(const run $ domains_arg $ json_arg)
 
 (* ---------------- calibrate ---------------- *)
 
@@ -816,5 +755,5 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ list_cmd; show_cmd; profile_cmd; simulate_cmd; figure8_cmd;
-            table2_cmd; calibrate_cmd; fuzz_cmd; serve_cmd ]))
+          [ list_cmd; show_cmd; profile_cmd; simulate_cmd; calibrate_cmd;
+            fuzz_cmd; serve_cmd ]))

@@ -3,8 +3,8 @@
     For every registry kernel, run the workload under every model arm
     (the oracle data), then under [Auto], and score the decision by
     {e regret}: chosen cycles over oracle-best cycles. Regret 1.0 means
-    Auto matched the best arm exactly; the bench gate asserts that
-    Auto's geomean speedup stays within 10% of the oracle's. Tunable
+    Auto matched the best arm exactly; the [auto] bench section bars
+    Auto's geomean speedup within 10% of the oracle's. Tunable
     trip-count / vector-length / fault-rate sweeps probe the decision
     off the calibration grid. *)
 
@@ -106,7 +106,7 @@ let kernel_rows ?(vl = 16) ?(seed = 42)
   |> List.filter_map (function Ok r -> Some r | Error _ -> None)
 
 (** Geomean of Auto's and the oracle's per-kernel speedups, and their
-    ratio — the bench gate asserts [ratio >= 0.9]. *)
+    ratio, which the [auto] bench section bars. *)
 let geomeans (rows : row list) : float * float * float =
   let g f = Figure8.geomean (List.map f rows) in
   let auto = g (fun r -> r.b_auto_speedup)

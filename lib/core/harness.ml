@@ -28,12 +28,6 @@ type plan = {
           by the [figure8] section ({!Figure8.run}'s [?timeout_s]); an
           overdue row is canceled cooperatively and becomes an error
           row *)
-  fail_on_degraded : bool;
-      (** [--fail-on-degraded]: exit non-zero if any simulated hot run
-          compiled below its requested strategy (a [degraded-*]
-          [compile_status] in the report) — all registry kernels are
-          expected to vectorize, so a degradation in a bench run means a
-          front-end regression *)
   trace_out : string option;
       (** [--trace-out DIR]: write one Chrome trace-event JSON file per
           section ([trace_<section>.json], host wall-clock spans) into
@@ -89,12 +83,12 @@ let fault_plan (p : plan) : Fv_faults.Plan.t option =
 (** Parse bench arguments (everything after [Sys.argv.(0)]). Accepts
     section names interleaved with [--domains N], [--json FILE],
     [--mode event|step], [--fault-rate R], [--fault-seed N],
-    [--rtm-retries N], [--row-timeout S], [--trace-out DIR] and
-    [--fail-on-degraded] (value-taking flags also accept [--flag=value]
-    spellings). No section name means "run them all". Every requested
-    section is validated against [available] — and rejected if requested
-    twice, since each section writes one [BENCH_<name>.json] — before
-    the plan is returned, so the caller runs nothing on a bad request. *)
+    [--rtm-retries N], [--row-timeout S] and [--trace-out DIR] (each
+    also accepts the [--flag=value] spelling). No section name means
+    "run them all". Every requested section is validated against
+    [available] — and rejected if requested twice, since each section
+    writes one [BENCH_<name>.json] — before the plan is returned, so the
+    caller runs nothing on a bad request. *)
 let parse_args ~(available : string list) (args : string list) :
     (plan, string) result =
   let split_eq a =
@@ -137,11 +131,6 @@ let parse_args ~(available : string list) (args : string list) :
             set parse_row_timeout (fun t -> { acc with row_timeout = Some t })
         | "--trace-out" ->
             set (fun v -> Ok v) (fun d -> { acc with trace_out = Some d })
-        | "--fail-on-degraded" -> (
-            (* boolean flag: takes no value *)
-            match inline with
-            | Some _ -> Error "--fail-on-degraded takes no value"
-            | None -> go { acc with fail_on_degraded = true } rest)
         | _ when String.length a >= 2 && String.sub a 0 2 = "--" ->
             (* includes bare [--]: there is no positional/flag separator
                here, and treating it as a section name used to yield a
@@ -152,7 +141,7 @@ let parse_args ~(available : string list) (args : string list) :
   let init =
     { sections = []; domains = None; json = None; mode = `Event;
       fault_rate = 0.0; fault_seed = 1; rtm_retries = 2; row_timeout = None;
-      fail_on_degraded = false; trace_out = None }
+      trace_out = None }
   in
   match go init args with
   | Error _ as e -> e

@@ -65,20 +65,35 @@ let mix (st : int64 ref) : float =
   let z = Int64.logxor z (Int64.shift_right_logical z 31) in
   Int64.to_float (Int64.shift_right_logical z 11) /. 9007199254740992.0
 
+(** The atom of the first [(name atom)] field of a response line, read
+    without a parse: responses render every field canonically, one
+    space after the name. The scan compares in place, so the returned
+    atom is the only allocation. *)
+let response_field (line : string) (name : string) : string option =
+  let ll = String.length line and n = String.length name in
+  (* start of the atom after the first "(name " opener, or -1 *)
+  let start = ref (-1) and i = ref 0 in
+  while !start < 0 && !i + n + 2 <= ll do
+    if line.[!i] = '(' && line.[!i + n + 1] = ' ' then begin
+      let k = ref 0 in
+      while !k < n && line.[!i + 1 + !k] = name.[!k] do
+        incr k
+      done;
+      if !k = n then start := !i + n + 2
+    end;
+    incr i
+  done;
+  if !start < 0 then None
+  else begin
+    let stop = ref !start in
+    while !stop < ll && line.[!stop] <> ')' do
+      incr stop
+    done;
+    if !stop = ll then None else Some (String.sub line !start (!stop - !start))
+  end
+
 let status_of_response (line : string) : string option =
-  let pat = "(status " in
-  let ll = String.length line and lp = String.length pat in
-  let rec find i =
-    if i + lp > ll then None
-    else if String.equal (String.sub line i lp) pat then Some (i + lp)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some start -> (
-      match String.index_from_opt line start ')' with
-      | None -> None
-      | Some stop -> Some (String.sub line start (stop - start)))
+  response_field line "status"
 
 (* a retryable outcome might succeed on another attempt; a terminal one
    is the answer *)

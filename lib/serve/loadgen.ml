@@ -1,5 +1,6 @@
 (** Deterministic request streams for the load bench and the CI smoke:
-    well-formed fuzz-generator cases rendered as wire requests. *)
+    well-formed fuzz-generator cases rendered as wire requests, and the
+    pipe driver that serves a stream through the server loop. *)
 
 module Sexp = Fv_fuzz.Sexp
 module Corpus = Fv_fuzz.Corpus
@@ -72,3 +73,44 @@ let distinct_cases ~(n : int) ~(seed : int) : Gen.case list =
     end
   done;
   List.rev !out
+
+(** Serve [lines] through {!Server.serve_fd} over a pipe and return the
+    responses in the order the server wrote them. A writer domain feeds
+    the pipe: a stream longer than the pipe buffer would deadlock a
+    write-everything-then-serve scheme. With [rate] (lines per second)
+    the writer paces the stream open-loop: line [i] is written [i /.
+    rate] seconds after the first, or late if the pipe pushed back,
+    which is what an open-loop generator degrades to against a
+    saturated server. *)
+let serve_lines ?rate (scfg : Service.cfg) (o : Server.opts)
+    (lines : string list) : string list =
+  let r, w = Unix.pipe () in
+  let writer =
+    Domain.spawn (fun () ->
+        let wc = Unix.out_channel_of_descr w in
+        let t0 = Fv_obs.Clock.now () in
+        List.iteri
+          (fun i l ->
+            Option.iter
+              (fun rps ->
+                let wait =
+                  (float_of_int i /. rps) -. Fv_obs.Clock.elapsed ~since:t0
+                in
+                if wait > 0.0 then Unix.sleepf wait)
+              rate;
+            output_string wc l;
+            output_char wc '\n';
+            if rate <> None then flush wc)
+          lines;
+        close_out wc)
+  in
+  let path = Filename.temp_file "flexvec_serve" ".out" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let out = open_out path in
+      Server.serve_fd scfg o ~in_fd:r ~out;
+      close_out out;
+      Unix.close r;
+      Domain.join writer;
+      In_channel.with_open_text path In_channel.input_lines)

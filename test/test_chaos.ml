@@ -31,40 +31,6 @@ let field name line =
   | Some s -> s
   | None -> Alcotest.failf "response without %s: %s" name line
 
-(* Serve [lines] through a pipe fed by a writer domain (the line count
-   here exceeds the kernel pipe buffer, so writing up front would
-   deadlock) and return the responses in arrival order. *)
-let serve_lines ~cfg (o : Server.opts) (lines : string list) : string list =
-  let r, w = Unix.pipe () in
-  let writer =
-    Domain.spawn (fun () ->
-        let wc = Unix.out_channel_of_descr w in
-        List.iter
-          (fun l ->
-            output_string wc l;
-            output_char wc '\n')
-          lines;
-        close_out wc)
-  in
-  let path = Filename.temp_file "chaos_test" ".out" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      let out = open_out path in
-      Server.serve_fd cfg o ~in_fd:r ~out;
-      close_out out;
-      Domain.join writer;
-      Unix.close r;
-      let ic = open_in path in
-      let rec slurp acc =
-        match input_line ic with
-        | l -> slurp (l :: acc)
-        | exception End_of_file -> List.rev acc
-      in
-      let resp = slurp [] in
-      close_in ic;
-      resp)
-
 (* The plan is pure: same seed and ordinal, same decision — that is
    what lets the harness recompute which requests were injected after
    the fact — and the dials do what they say. *)
@@ -116,7 +82,7 @@ let test_differential_oracle () =
       queue_cap = 4096;
     }
   in
-  let baseline = serve_lines ~cfg:(fresh_cfg ()) base_opts lines in
+  let baseline = Loadgen.serve_lines (fresh_cfg ()) base_opts lines in
   Alcotest.(check int) "baseline answers everything" n (List.length baseline);
   let base_by_id = List.map (fun r -> (field "id" r, r)) baseline in
   List.iter
@@ -127,7 +93,7 @@ let test_differential_oracle () =
       let o =
         { base_opts with row_timeout = Some 0.02; chaos = Some chaos }
       in
-      let responses = serve_lines ~cfg:(fresh_cfg ()) o lines in
+      let responses = Loadgen.serve_lines (fresh_cfg ()) o lines in
       Alcotest.(check int)
         (Printf.sprintf "seed %d: every request answered exactly once" seed)
         n (List.length responses);
@@ -209,7 +175,7 @@ let test_quarantine_arc () =
   let lines =
     [ poison_line; good_line; poison_line; poison_line; poison_line ]
   in
-  let responses = serve_lines ~cfg:(fresh_cfg ()) o lines in
+  let responses = Loadgen.serve_lines (fresh_cfg ()) o lines in
   Alcotest.(check int) "everything answered" 5 (List.length responses);
   let status i = field "status" (List.nth responses i) in
   Alcotest.(check string) "first poison answered at the deadline"

@@ -421,6 +421,9 @@ let test_harness_validates_up_front () =
   Alcotest.(check bool) "bad --mode value" true (rejected [ "--mode"; "fast" ]);
   Alcotest.(check bool) "missing --mode value" true (rejected [ "--mode" ]);
   Alcotest.(check bool) "unknown option" true (rejected [ "--frobnicate" ]);
+  (* bars are always on: no flag arms them *)
+  Alcotest.(check bool) "unknown option --fail-on-degraded" true
+    (rejected [ "--fail-on-degraded" ]);
   (* fault-injection and robustness knobs *)
   (match
      Fv_core.Harness.parse_args ~available

@@ -793,6 +793,57 @@ let test_client_deadline_and_hedge () =
     o.Client.status;
   Alcotest.(check bool) "hedge was used" true (o.Client.hedges >= 1)
 
+(* The open-loop driver the overload bench runs: a paced stream is
+   answered line for line, each id exactly once, and pacing holds the
+   writer back. Line i is due i / rate seconds after the first, so n
+   lines span at least (n - 1) / rate seconds. *)
+let test_paced_serve_lines () =
+  let n = 20 and rate = 200.0 in
+  let ids = List.init n (Printf.sprintf "p%d") in
+  let lines = List.map (fun id -> Loadgen.loop_request_line ~id ok_case) ids in
+  let o =
+    { Server.default_opts with domains = Some 1; batch = 4; queue_cap = 64 }
+  in
+  let t0 = Fv_obs.Clock.now () in
+  let responses = Loadgen.serve_lines ~rate (fresh_cfg ()) o lines in
+  let wall = Fv_obs.Clock.elapsed ~since:t0 in
+  Alcotest.(check int) "every line answered" n (List.length responses);
+  Alcotest.(check (list string)) "each id exactly once"
+    (List.sort compare ids)
+    (List.sort compare (List.map (atom_field "id") responses));
+  Alcotest.(check bool) "all ok" true
+    (List.for_all (fun r -> status_of r = "ok") responses);
+  let floor = float_of_int (n - 1) /. rate in
+  Alcotest.(check bool)
+    (Printf.sprintf "paced: %.3f s >= %.3f s" wall floor)
+    true (wall >= floor)
+
+(* One field reader serves the client, the benches and the end-to-end
+   driver: the first "(name " opener wins, a name that only prefixes
+   another field's name does not match, and the scan allocates nothing
+   but the atom it returns. *)
+let test_response_field () =
+  let line = "(response (id r7) (status-note x) (status ok) (cached true))" in
+  Alcotest.(check (option string)) "id" (Some "r7")
+    (Client.response_field line "id");
+  Alcotest.(check (option string)) "status, not status-note" (Some "ok")
+    (Client.status_of_response line);
+  Alcotest.(check (option string)) "missing field" None
+    (Client.response_field line "brownout");
+  Alcotest.(check (option string)) "unterminated field" None
+    (Client.status_of_response "(response (status ok");
+  Alcotest.(check (option string)) "opener at the very end" None
+    (Client.status_of_response "(response (status ");
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Client.status_of_response line))
+  done;
+  let words = Gc.minor_words () -. before in
+  (* [Some] and the two-byte atom are 4 words a call *)
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words for 1000 reads" words)
+    true (words <= 5000.0)
+
 let suite =
   [
     Alcotest.test_case "served compile == one-shot front end" `Quick
@@ -843,4 +894,8 @@ let suite =
       test_graceful_shutdown;
     Alcotest.test_case "row timeout holds at 1 and 2 domains" `Quick
       test_row_timeout_any_domain_count;
+    Alcotest.test_case "paced serve_lines answers once, at its rate" `Quick
+      test_paced_serve_lines;
+    Alcotest.test_case "response fields read in place" `Quick
+      test_response_field;
   ]
