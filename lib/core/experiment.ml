@@ -256,7 +256,7 @@ let rec run_hot ?budget ?(vl = 16) ?(mode : Pipeline.mode = `Event)
       in
       { r with strategy = Auto; auto = Some pick }
   | _ ->
-  let sink = Fv_trace.Sink.create ~capacity:4096 () in
+  let sink = Fv_trace.Sink.create () in
   let emit u = Fv_trace.Sink.push sink u in
   (* annotations are pinned to the trace position current at the moment
      the emulator reports the event *)

@@ -69,9 +69,10 @@ let latency c = (timing c).latency
 let recip_tput c = (timing c).recip_tput
 
 (** Stable dense byte codes for the classes, in declaration order —
-    the compiled-trace representation ({!Fv_ooo.Compiled}) stores one
-    code byte per micro-op and indexes precomputed latency tables with
-    it. [of_code] is the left inverse of [code]. *)
+    the trace sink ({!Fv_trace.Sink}) stores one code byte per micro-op,
+    and the replay loop indexes the sink's per-code latency, throughput,
+    port-class and branch tables with it. [of_code] is the left inverse
+    of [code]. *)
 let code : uop_class -> int = function
   | Int_alu -> 0
   | Int_mul -> 1

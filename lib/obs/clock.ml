@@ -1,23 +1,13 @@
-(** Monotonic wall clock.
+(** Monotonic clock, in seconds.
 
-    [Unix.gettimeofday] can step backwards (NTP slew/step, VM
-    migration), which used to produce negative [wall_seconds] in the
-    reports and spurious [Timed_out] rows in the pool. This clock clamps
-    it against a process-wide high-water mark shared by every domain, so
-    [now] is non-decreasing across all readers: a backwards step holds
-    the clock at the watermark until real time catches up again. *)
+    Reads [CLOCK_MONOTONIC], which never steps backwards (NTP slew or
+    step, VM migration) and resolves tens of nanoseconds, where
+    [Unix.gettimeofday] resolves about a microsecond. Its origin (boot
+    time) is arbitrary: readings are only ever subtracted from one
+    another or rebased ({!Chrome.of_spans}'s [t_base]), never shown as
+    dates. *)
 
-let watermark = Atomic.make 0.0
-
-let now () : float =
-  let t = Unix.gettimeofday () in
-  let rec clamp () =
-    let w = Atomic.get watermark in
-    if t <= w then w
-    else if Atomic.compare_and_set watermark w t then t
-    else clamp ()
-  in
-  clamp ()
+let now () : float = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
 (** Seconds elapsed since [since] (a value previously returned by
     {!now}); never negative. *)

@@ -1,8 +1,8 @@
 (** FNV-1a content hashing, shared by everything that content-addresses
     data: the fuzz corpus names counterexample files by the 64-bit hash
     of their s-expression, and the simulator's whole-trace memo cache
-    ({!Fv_ooo.Simcache}) keys [Pipeline.stats] on a hash of the compiled
-    trace.
+    ({!Fv_ooo.Simcache}) keys [Pipeline.stats] on a hash the trace sink
+    ({!Fv_trace.Sink}) folds as it records.
 
     Two variants of the same scheme:
 
@@ -11,7 +11,7 @@
       stable across runs and across OCaml versions, safe to bake into
       on-disk filenames.
     - {!fold_word}: FNV-1a folded one native [int] (63-bit word) at a
-      time. Hashing a multi-million-element compiled trace byte-by-byte
+      time. Hashing a multi-million-element trace byte-by-byte
       through boxed [Int64] arithmetic would cost more than the
       simulation it memoizes; the word-folded variant is one XOR and one
       multiply per field, allocation-free. It is deterministic for a

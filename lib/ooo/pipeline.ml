@@ -29,24 +29,22 @@
       kept for differential testing.
 
     The replay loop runs a few million micro-ops per bench section, so
-    it operates on the {e compiled} trace form ({!Compiled}): every
-    per-uop fact (latency, port class, register ids, element address,
-    branch-label hash) is a flat int-array or bytes read, interned once
-    by {!Compiled.of_trace}. The loop itself allocates nothing per
-    micro-op — dependence edges live in a preallocated edge pool and
-    completion-calendar buckets are intrusive int-array chains — so the
-    GC never runs during a replay. The ROB is a ring buffer; the
-    completion calendar is a power-of-two ring of cycle buckets (the
-    completion horizon is bounded by the worst-case miss latency, and
-    the ring grows if a pathological hierarchy exceeds it); and memory
-    disambiguation is a direct-mapped [addr -> store id] array.
+    it reads the trace in the columnar form {!Fv_trace.Sink} records:
+    register ids, element addresses and branch-label hashes are flat
+    int-array reads, interned once as the emulator pushed each uop, and
+    latency, throughput, port class and the branch flag come from
+    per-code tables indexed by the class byte. The loop itself
+    allocates nothing per micro-op — dependence edges live in a
+    preallocated edge pool and completion-calendar buckets are
+    intrusive int-array chains — so the GC never runs during a replay.
+    The ROB is a ring buffer; the completion calendar is a power-of-two
+    ring of cycle buckets (the completion horizon is bounded by the
+    worst-case miss latency, and the ring grows if a pathological
+    hierarchy exceeds it); and memory disambiguation is a direct-mapped
+    [addr -> store id] array. Callers that replay the same trace many
+    times memoize through {!Simcache}, keyed on the sink's content
+    hash. *)
 
-    {!run} compiles and replays in one call; callers that replay the
-    same trace many times (or want the content hash for memoization —
-    see {!Simcache}) compile once with {!Compiled.of_trace} and call
-    {!run_compiled}. *)
-
-open Fv_isa
 module Sink = Fv_trace.Sink
 
 type mode = [ `Event  (** event-driven scheduler (default) *) | `Step ]
@@ -146,15 +144,9 @@ end
 
 type port_class = P_load | P_store | P_alu
 
-let port_class (cls : Latency.uop_class) : port_class =
-  if Latency.is_load cls then P_load
-  else if Latency.is_store cls then P_store
-  else P_alu
-
-(* byte encoding of [port_class] used in the per-uop side arrays;
-   matches {!Compiled.b_load} etc. *)
-let b_load = Compiled.b_load
-and b_store = Compiled.b_store
+(* byte encoding of [port_class] in {!Sink.pcls_of_code} *)
+let b_load = Sink.b_load
+and b_store = Sink.b_store
 
 let empty_stats =
   {
@@ -163,12 +155,13 @@ let empty_stats =
     stall_redirect = 0; loads = 0; stores = 0; truncated = false;
   }
 
-(** Replay an already-compiled trace. Same contract as {!run}. *)
-let run_compiled ?budget ?(cfg = Machine.table1)
+(** Replay [trace] against [cfg] and [hier]. [?record] fills a
+    stage-cycle log; [?budget] is polled every 4096 scheduler rounds. *)
+let run ?budget ?(cfg = Machine.table1)
     ?(hier = Fv_memsys.Hierarchy.table1 ()) ?(mode : mode = `Event)
-    ?(max_cycles = 400_000_000) ?(record : timing option) (ct : Compiled.t) :
+    ?(max_cycles = 400_000_000) ?(record : timing option) (trace : Sink.t) :
     stats =
-  let n = ct.Compiled.n in
+  let n = Sink.length trace in
   (match record with
   | Some r ->
       r.t_dispatch <- Array.make n (-1);
@@ -178,18 +171,20 @@ let run_compiled ?budget ?(cfg = Machine.table1)
   | None -> ());
   if n = 0 then empty_stats
   else begin
-    let lat_of = ct.Compiled.lat
-    and recip_of = ct.Compiled.recip
-    and pcls = ct.Compiled.pcls
-    and is_br = ct.Compiled.is_br
-    and dst_id = ct.Compiled.dst_id
-    and src_off = ct.Compiled.src_off
-    and src_ids = ct.Compiled.src_ids
-    and addr_of = ct.Compiled.addr
-    and nelems_of = ct.Compiled.nelems
-    and lbl_hash = ct.Compiled.lbl_hash
-    and taken_of = ct.Compiled.taken in
-    let no_addr = Compiled.no_addr in
+    let cls = trace.Sink.cls
+    and flags = trace.Sink.flags
+    and dst_id = trace.Sink.dst
+    and src_off = trace.Sink.src_off
+    and src_ids = trace.Sink.srcs
+    and addr_of = trace.Sink.addr
+    and nelems_of = trace.Sink.nelems
+    and lbl_hash = trace.Sink.lbl_hash in
+    let no_addr = Sink.no_addr in
+    (* per-code facts, looked up through the class byte *)
+    let code i = Char.code (Bytes.unsafe_get cls i) in
+    let pcls_of i =
+      Array.unsafe_get Sink.pcls_of_code (Char.code (Bytes.unsafe_get cls i))
+    in
     (* stage-cycle log: one guarded array store per stage transition
        when recording; a single always-false test when not *)
     let rec_on = record <> None in
@@ -198,7 +193,6 @@ let run_compiled ?budget ?(cfg = Machine.table1)
       | Some r -> (r.t_dispatch, r.t_issue, r.t_complete, r.t_commit)
       | None -> ([||], [||], [||], [||])
     in
-    let pcls_of i = Char.code (Bytes.unsafe_get pcls i) in
     (* per-uop state *)
     let pending = Array.make n 0 in
     (* dependence edges as a preallocated pool of intrusive lists:
@@ -207,14 +201,14 @@ let run_compiled ?budget ?(cfg = Machine.table1)
        one edge per source operand plus one store-forwarding edge, so
        the pool never grows. *)
     let dep_head = Array.make n (-1) in
-    let dep_to = Array.make (Array.length src_ids + n) 0 in
-    let dep_next = Array.make (Array.length src_ids + n) (-1) in
+    let dep_to = Array.make (trace.Sink.nsrcs + n) 0 in
+    let dep_next = Array.make (trace.Sink.nsrcs + n) (-1) in
     let dep_cnt = ref 0 in
     let completed = Bytes.make n '\000' in
     let is_completed i = Bytes.unsafe_get completed i <> '\000' in
     let in_rs = Bytes.make n '\000' in
     (* renaming: logical register id -> last writer uop id (-1: none) *)
-    let last_writer = Array.make (max 1 ct.Compiled.nregs) (-1) in
+    let last_writer = Array.make (max 1 (Sink.nregs trace)) (-1) in
     (* memory disambiguation: element address -> last *in-flight* store
        uop id (-1: none), direct-mapped since the address space is a
        small bump-allocated range. Entries are pruned when their store
@@ -519,11 +513,11 @@ let run_compiled ?budget ?(cfg = Machine.table1)
           Bytes.unsafe_set in_rs i '\001';
           if !pcnt = 0 then Heap.push (heap_of_b b) i;
           (* branch prediction *)
-          if Bytes.unsafe_get is_br i <> '\000' then begin
+          if Array.unsafe_get Sink.isbr_of_code (code i) then begin
             let miss =
               Predictor.mispredicted_hash predictor
                 ~h:(Array.unsafe_get lbl_hash i)
-                ~taken:(Bytes.unsafe_get taken_of i <> '\000')
+                ~taken:(Char.code (Bytes.unsafe_get flags i) land Sink.b_taken <> 0)
             in
             if miss then redirect_waiting_on := i
           end;
@@ -554,7 +548,7 @@ let run_compiled ?budget ?(cfg = Machine.table1)
             else begin
               Heap.drop_min h;
               if rec_on then ri.(i) <- c;
-              let base_lat = Array.unsafe_get lat_of i in
+              let base_lat = Array.unsafe_get Sink.lat_of_code (code i) in
               let b = pcls_of i in
               let lat =
                 if b = b_load then
@@ -576,7 +570,7 @@ let run_compiled ?budget ?(cfg = Machine.table1)
                 end
                 else base_lat
               in
-              ports.(!port) <- c + Array.unsafe_get recip_of i;
+              ports.(!port) <- c + Array.unsafe_get Sink.recip_of_code (code i);
               decr rs_used;
               Bytes.unsafe_set in_rs i '\000';
               schedule_completion i (c + max 1 lat);
@@ -700,10 +694,3 @@ let run_compiled ?budget ?(cfg = Machine.table1)
       truncated = !committed < n;
     }
   end
-
-(** Compile [trace] and replay it. *)
-let run ?budget ?cfg ?hier ?(mode : mode = `Event) ?max_cycles
-    ?(record : timing option)
-    (trace : Sink.t) : stats =
-  run_compiled ?budget ?cfg ?hier ~mode ?max_cycles ?record
-    (Compiled.of_trace trace)

@@ -20,7 +20,7 @@ let index (p : t) (label : string) =
   (h lxor p.history) land ((1 lsl p.bits) - 1)
 
 (** Predict-and-update on a precomputed label hash ([Hashtbl.hash
-    label]) — the compiled-trace replay path, bit-identical to
+    label]) — the replay path, bit-identical to
     {!mispredicted} because the string entry point computes exactly this
     hash. Returns [true] if the branch was mispredicted. *)
 let mispredicted_hash (p : t) ~(h : int) ~(taken : bool) : bool =

@@ -10,8 +10,9 @@
     process-wide cache keyed on those inputs turns the repeats into
     hashtable hits.
 
-    The key carries the compiled trace's FNV-1a content hash
-    ({!Compiled.hash}) plus its length and register count, the full
+    The key carries the trace's FNV-1a content hash ({!Sink.hash},
+    folded as the trace was recorded, so building the key never walks
+    the trace) plus its length and register count, the full
     {!Machine.t} (a flat int record, compared structurally), the
     prefetch depth, the mode, the watchdog threshold, and the caller's
     fault-plan fingerprint. The fingerprint is belt-and-braces: injected
@@ -48,7 +49,7 @@
 module Sink = Fv_trace.Sink
 
 type key = {
-  k_hash : int64;  (** {!Compiled.hash} of the trace *)
+  k_hash : int64;  (** {!Sink.hash} of the trace *)
   k_len : int;
   k_nregs : int;
   k_cfg : Machine.t;
@@ -102,14 +103,11 @@ let stats ?budget ?(cfg = Machine.table1) ?(prefetch_depth = 4)
     ?(mode : Pipeline.mode = `Event) ?(max_cycles = 400_000_000)
     ?(fault_key = "") ?(record : Pipeline.timing option) (trace : Sink.t) :
     Pipeline.stats =
-  let ct =
-    Fv_obs.Span.with_ ~cat:"sim" "compile" (fun () -> Compiled.of_trace trace)
-  in
   let k =
     {
-      k_hash = ct.Compiled.hash;
-      k_len = ct.Compiled.n;
-      k_nregs = ct.Compiled.nregs;
+      k_hash = Sink.hash trace;
+      k_len = Sink.length trace;
+      k_nregs = Sink.nregs trace;
       k_cfg = cfg;
       k_prefetch = prefetch_depth;
       k_event = (mode = `Event);
@@ -121,11 +119,10 @@ let stats ?budget ?(cfg = Machine.table1) ?(prefetch_depth = 4)
   | Some _ ->
       note "sim_cache_bypass";
       let s =
-        (* a canceled replay raises out of [Pipeline.run_compiled] before
+        (* a canceled replay raises out of [Pipeline.run] before
            the store below, so a partial simulation is never memoized *)
         Fv_memsys.Hierarchy.with_cold ~prefetch_depth (fun hier ->
-            Pipeline.run_compiled ?budget ~cfg ~hier ~mode ~max_cycles ?record
-              ct)
+            Pipeline.run ?budget ~cfg ~hier ~mode ~max_cycles ?record trace)
       in
       store k s;
       s
@@ -139,8 +136,7 @@ let stats ?budget ?(cfg = Machine.table1) ?(prefetch_depth = 4)
           let s =
             Fv_obs.Span.with_ ~cat:"sim" "replay" (fun () ->
                 Fv_memsys.Hierarchy.with_cold ~prefetch_depth (fun hier ->
-                    Pipeline.run_compiled ?budget ~cfg ~hier ~mode ~max_cycles
-                      ct))
+                    Pipeline.run ?budget ~cfg ~hier ~mode ~max_cycles trace))
           in
           store k s;
           s)

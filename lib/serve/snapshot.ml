@@ -140,13 +140,17 @@ let parse_entry (s : string) (pos : int) : parsed option =
           else
             let c_start = hdr_end + 1 in
             let t_start = c_start + clen + 1 in
-            let entry_end = t_start + tlen + 1 in
+            (* each length is checked against the bytes left before it
+               is added: a huge declared length would wrap the sum
+               negative and pass a check on the end offset *)
             if
-              entry_end > len
+              clen >= len - c_start
+              || tlen >= len - t_start
               || s.[c_start + clen] <> '\n'
               || s.[t_start + tlen] <> '\n'
             then None
             else
+              let entry_end = t_start + tlen + 1 in
               let canonical = String.sub s c_start clen in
               let tail = String.sub s t_start tlen in
               let p : Plancache.plan =

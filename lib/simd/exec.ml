@@ -95,7 +95,7 @@ let emit st u = match st.emit with Some f -> f u | None -> ()
 let note st kind = match st.annot with Some f -> f kind | None -> ()
 
 (* Temp names cycle through a preallocated pool of shared strings
-   rather than minting ["vt" ^ n] fresh per temp: the trace compiler
+   rather than minting ["vt" ^ n] fresh per temp: the trace sink
    interns register names by physical equality, and a trace full of
    once-used strings defeats that cache and bloats its register table.
    Correctness needs only that two simultaneously-live temps never share
@@ -519,7 +519,7 @@ let run ?budget ?emit:trace_sink ?annot ?(injected_trap = false)
   in
   List.iter (exec_stmt st) vloop.preamble;
   (* one shared label string for every back-edge of this run: the
-     predictor hashes the label per branch, and the trace compiler
+     predictor hashes the label per branch, and the trace sink
      memoizes that hash on physical identity *)
   let back_label = "vloop." ^ vloop.source.name in
   while st.vi < hi && not st.brk do

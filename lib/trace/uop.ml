@@ -28,13 +28,3 @@ let make ?dst ?(srcs = []) ?addr ?(nelems = 1) ?(label = "") ?(taken = false) cl
   { cls; dst; srcs; addr; nelems; label; taken }
 
 let branch ~label ~taken ~srcs = make ~srcs ~label ~taken Latency.Branch
-
-let pp ppf u =
-  Fmt.pf ppf "%a dst=%a srcs=[%a]%a%s" Latency.pp_uop_class u.cls
-    Fmt.(option ~none:(any "-") string)
-    u.dst
-    Fmt.(list ~sep:comma string)
-    u.srcs
-    Fmt.(option (fmt " @@%d"))
-    u.addr
-    (if u.cls = Latency.Branch then if u.taken then " T" else " NT" else "")

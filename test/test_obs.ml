@@ -49,12 +49,18 @@ let test_dynbuf_grow () =
 (* ---------------- Clock ---------------- *)
 
 let test_clock_monotonic () =
-  let prev = ref (Clock.now ()) in
+  let prev = ref (Clock.now ()) and step = ref infinity in
   for _ = 1 to 10_000 do
     let t = Clock.now () in
     if t < !prev then Alcotest.failf "clock went backwards: %g < %g" t !prev;
+    if t > !prev && t -. !prev < !step then step := t -. !prev;
     prev := t
   done;
+  (* back-to-back readings resolve well under gettimeofday's
+     microsecond tick *)
+  Alcotest.(check bool)
+    (Printf.sprintf "smallest step %.0f ns < 500 ns" (!step *. 1e9))
+    true (!step < 0.5e-6);
   let t0 = Clock.now () in
   Alcotest.(check bool) "elapsed non-negative" true (Clock.elapsed ~since:t0 >= 0.0);
   (* even against a timestamp from the future, elapsed clamps to 0 *)

@@ -13,7 +13,6 @@ module Sink = Fv_trace.Sink
 module Uop = Fv_trace.Uop
 module Pipeline = Fv_ooo.Pipeline
 module Machine = Fv_ooo.Machine
-module Compiled = Fv_ooo.Compiled
 module Simcache = Fv_ooo.Simcache
 module Plan = Fv_faults.Plan
 module K = Fv_workloads.Kernels
@@ -202,12 +201,12 @@ let test_bounded_eviction () =
    and invariant under consistent register renaming. *)
 let test_compiled_hash () =
   let s = chain 100 in
-  let h1 = (Compiled.of_trace s).Compiled.hash in
-  let h2 = (Compiled.of_trace s).Compiled.hash in
+  let h1 = Sink.hash s in
+  let h2 = Sink.hash s in
   Alcotest.(check bool) "hash deterministic" true (Int64.equal h1 h2);
   let s' = chain 100 in
   Sink.push s' (Uop.make ~dst:"y" ~srcs:[ "x" ] Latency.Int_alu);
-  let h3 = (Compiled.of_trace s').Compiled.hash in
+  let h3 = Sink.hash s' in
   Alcotest.(check bool) "one extra uop changes the hash" false
     (Int64.equal h1 h3);
   (* same structure, every register consistently renamed: ids match, so
@@ -216,7 +215,7 @@ let test_compiled_hash () =
   for _ = 1 to 100 do
     Sink.push renamed (Uop.make ~dst:"zz" ~srcs:[ "zz" ] Latency.Int_alu)
   done;
-  let h4 = (Compiled.of_trace renamed).Compiled.hash in
+  let h4 = Sink.hash renamed in
   Alcotest.(check bool) "alpha-renaming preserves the hash" true
     (Int64.equal h1 h4);
   (* ...but a different dependence structure does not *)
@@ -225,9 +224,90 @@ let test_compiled_hash () =
     let r = if i mod 2 = 0 then "a" else "b" in
     Sink.push split (Uop.make ~dst:r ~srcs:[ r ] Latency.Int_alu)
   done;
-  let h5 = (Compiled.of_trace split).Compiled.hash in
+  let h5 = Sink.hash split in
   Alcotest.(check bool) "different dependence structure differs" false
     (Int64.equal h1 h5)
+
+module G = QCheck2.Gen
+
+(* random uops: registers from a small pool of shared strings plus
+   freshly built names (equal contents, distinct objects), so interning
+   meets both of its lookup paths *)
+let gen_uops : Uop.t list G.t =
+  let open G in
+  let reg =
+    oneof
+      [
+        oneofl [ "a"; "b"; "c"; "x" ];
+        map (fun n -> "t" ^ string_of_int n) (int_range 0 40);
+      ]
+  in
+  let uop =
+    let* cls =
+      oneof
+        [
+          return Latency.Branch;
+          map Latency.of_code (int_range 0 (Latency.ncodes - 1));
+        ]
+    in
+    let* srcs = list_size (int_range 0 3) reg in
+    let* dst = opt reg in
+    let* addr = opt (int_range (-5000) 5000) in
+    let* nelems = int_range 1 16 in
+    let* label = oneofl [ ""; "L1"; "L2"; "back" ] in
+    let* taken = bool in
+    return (Uop.make ?dst ~srcs ?addr ~nelems ~label ~taken cls)
+  in
+  list_size (int_range 0 600) uop
+
+let print_uops us =
+  String.concat "; "
+    (List.map
+       (fun (u : Uop.t) ->
+         Printf.sprintf "%s %s<-[%s]%s x%d %S%s"
+           (Latency.show_uop_class u.cls)
+           (Option.value u.dst ~default:"-")
+           (String.concat "," u.srcs)
+           (match u.addr with Some a -> Printf.sprintf " @%d" a | None -> "")
+           u.nelems u.label
+           (if u.taken then " T" else ""))
+       us)
+
+let sink_of ?capacity us =
+  let s = Sink.create ?capacity () in
+  List.iter (Sink.push s) us;
+  s
+
+(* The sink records what it is given: [to_array] rebuilds exactly the
+   pushed uops, growing from one slot changes nothing (so the hash
+   folded across growth is right), and a consistent injective renaming
+   of the registers leaves the hash alone. *)
+let prop_sink_round_trip =
+  QCheck2.Test.make ~count:200 ~print:print_uops
+    ~name:"sink: to_array round-trips, growth and renaming keep the hash"
+    gen_uops (fun us ->
+      let s = sink_of us and s1 = sink_of ~capacity:1 us in
+      let renamed =
+        sink_of
+          (List.map
+             (fun (u : Uop.t) ->
+               let r x = "renamed." ^ x in
+               { u with dst = Option.map r u.dst; srcs = List.map r u.srcs })
+             us)
+      in
+      if Array.to_list (Sink.to_array s) <> us then
+        QCheck2.Test.fail_report "to_array differs from the pushed uops";
+      if
+        Sink.length s1 <> Sink.length s
+        || Sink.nregs s1 <> Sink.nregs s
+        || not (Int64.equal (Sink.hash s1) (Sink.hash s))
+        || Sink.to_array s1 <> Sink.to_array s
+      then QCheck2.Test.fail_report "a one-slot sink differs after growth";
+      if
+        Sink.nregs renamed <> Sink.nregs s
+        || not (Int64.equal (Sink.hash renamed) (Sink.hash s))
+      then QCheck2.Test.fail_report "renaming the registers moved the hash";
+      true)
 
 (* [n] loads, one line apart: every replay fills thousands of sets *)
 let loads n =
@@ -321,4 +401,5 @@ let suite =
       test_parallel_replays_equal_fresh;
     Alcotest.test_case "hierarchy pool: at most one per worker" `Quick
       test_hierarchy_pool_bounded;
+    QCheck_alcotest.to_alcotest prop_sink_round_trip;
   ]

@@ -115,6 +115,23 @@ let test_truncated_file () =
       Alcotest.(check int) "losses counted against the declared total" 10
         (stats.Snapshot.restored + stats.Snapshot.corrupt))
 
+(* A declared length near [max_int] must not wrap the framing offsets
+   negative and index out of bounds: the entry is counted corrupt and
+   [load] still returns. *)
+let test_huge_length_is_corrupt () =
+  with_temp (fun path ->
+      let oc = open_out_bin path in
+      output_string oc
+        "flexvec-plan-cache v1 entries=1\n\
+         entry 4611686018427387903 0 1 compile 0000000000000000\n\
+         (x)\n\
+         (y)\n";
+      close_out oc;
+      let pc = Plancache.create ~cap:8 () in
+      let stats = Snapshot.load pc ~path in
+      Alcotest.(check int) "nothing restored" 0 stats.Snapshot.restored;
+      Alcotest.(check int) "one corrupt entry" 1 stats.Snapshot.corrupt)
+
 (* Saving over an existing snapshot replaces it atomically: the new
    content wins, the old content is gone, no temp file remains. *)
 let test_overwrite () =
@@ -157,4 +174,6 @@ let suite =
     Alcotest.test_case "save replaces atomically" `Quick test_overwrite;
     Alcotest.test_case "unwritable entries refused at save time" `Quick
       test_unwritable_entry_skipped;
+    Alcotest.test_case "a wrapping entry length is counted corruption"
+      `Quick test_huge_length_is_corrupt;
   ]
