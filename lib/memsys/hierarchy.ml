@@ -92,8 +92,8 @@ let reset (h : t) =
   h.prefetches <- 0
 
 (* Free hierarchies by prefetch depth, shared by every domain. Not
-   [Domain.DLS]: the pool spawns fresh domains for every batch, so
-   per-domain state would die with each one. *)
+   [Domain.DLS]: pool workers end with every one-shot map and at every
+   idle point of the daemon, so per-domain state would die with them. *)
 let free_lock = Mutex.create ()
 let free : (int, t list) Hashtbl.t = Hashtbl.create 4
 

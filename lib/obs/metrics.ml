@@ -136,12 +136,13 @@ let merge_cell (into : shard) (k : key) (c : cell) : unit =
 (** [retire t ~domain] ends metrics ownership for a terminated domain:
     its shard is folded into the retained [retired] accumulator and
     removed from the live shard list in one critical section. The
-    domain pool calls this after joining a worker that died, which
-    keeps snapshots taken during a worker restart exact — merging a
-    dead domain's shard without removing it would double-count its
-    events at the next snapshot, and leaving it live
-    would let a recycled domain id (OCaml reuses them) resurrect the
-    dead domain's cells under a new owner. Idempotent; an unknown
+    domain pool calls this after every join of a worker — exited,
+    released or died — which keeps snapshots taken during a worker
+    restart exact (merging a dead domain's shard without removing it
+    would double-count its events at the next snapshot) and keeps the
+    live list as short as the set of running domains: OCaml 5.1 never
+    reuses a domain id, so a shard left live is never reclaimed, and
+    every {!shard_for} lookup walks the list. Idempotent; an unknown
     [domain] is a no-op. Must only be called once the domain has
     actually terminated (e.g. after [Domain.join]): retiring a live
     domain's shard loses any increment racing with the fold. *)
@@ -152,6 +153,11 @@ let retire (t : t) ~(domain : int) : unit =
       | Some s ->
           t.shards <- List.filter (fun (d, _) -> d <> domain) t.shards;
           Hashtbl.iter (fun k c -> merge_cell t.retired k c) s)
+
+(** Shards of domains that have recorded into [t] and not been retired
+    (or reset) since. *)
+let live_shards (t : t) : int =
+  Mutex.protect t.lock (fun () -> List.length t.shards)
 
 type snap = {
   s_name : string;

@@ -25,8 +25,10 @@
       response write path catches [EPIPE]/[Sys_error], so a client
       disconnecting mid-response drops that connection, never the
       daemon.
-    - {b Self-healing batches}: every batch runs on {!Pool.map} — a
-      request that wedges past [row_timeout] or kills its worker is
+    - {b Self-healing batches}: every batch runs on the connection's
+      {!Pool.t} (its workers park between back-to-back batches and are
+      released whenever the input goes idle) — a request that wedges
+      past [row_timeout] or kills its worker is
       answered ([deadline-exceeded] / [error]) immediately and the
       burned domain replaced, and every such pool-level failure strikes
       the {!Quarantine} table (when one is configured) so a repeating
@@ -338,12 +340,22 @@ let serve_fd (scfg : Service.cfg) (o : opts) ~(in_fd : Unix.file_descr)
   (* block (in bounded slices, so shutdown stays responsive) until
      there is work, the stream ends, or we are told to stop *)
   let stop_reading () = shutdown_requested () || !client_gone in
+  (* the workers park between back-to-back batches and end before the
+     orchestrator blocks for input: a parked domain takes part in every
+     stop-the-world minor collection, so it would tax whatever runs
+     next (DESIGN.md, "Daemon workers park only between back-to-back
+     batches") *)
+  let pool = Pool.create ?domains:o.domains () in
   let rec await_work () =
     drain_frames ();
     if Batcher.length q = 0 && (not fr.Framer.eof) && not (stop_reading ())
     then begin
-      if Framer.wait_readable ~timeout:0.2 fr.Framer.fd then
-        refill ~blocking:true;
+      if Framer.readable fr.Framer.fd then refill ~blocking:true
+      else begin
+        Pool.release pool;
+        if Framer.wait_readable ~timeout:0.2 fr.Framer.fd then
+          refill ~blocking:true
+      end;
       await_work ()
     end
   in
@@ -360,9 +372,6 @@ let serve_fd (scfg : Service.cfg) (o : opts) ~(in_fd : Unix.file_descr)
       refill ~blocking:false;
       drain_frames ()
     done
-  in
-  let n_domains =
-    match o.domains with Some d -> d | None -> Pool.default_domains ()
   in
   let respond_failure line status msg =
     P.response_line ?id:(id_of_frame line) ~status (P.error_body msg)
@@ -401,9 +410,7 @@ let serve_fd (scfg : Service.cfg) (o : opts) ~(in_fd : Unix.file_descr)
       | None -> ());
       Service.handle ~admitted ~brownout scfg line
     in
-    let results =
-      Pool.map ~domains:n_domains ?timeout_s:o.row_timeout work to_run
-    in
+    let results = Pool.run pool ?timeout_s:o.row_timeout work to_run in
     let answered =
       List.map2
         (fun (_, line, _) -> function
@@ -479,7 +486,7 @@ let serve_fd (scfg : Service.cfg) (o : opts) ~(in_fd : Unix.file_descr)
       loop ()
     end
   in
-  loop ();
+  Fun.protect ~finally:(fun () -> Pool.release pool) loop;
   Fv_obs.Metrics.gauge Fv_obs.Metrics.global "serve_queue_depth" 0.0;
   flush_out ()
 

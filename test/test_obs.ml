@@ -153,8 +153,8 @@ let test_metrics_gauge_merges_by_max () =
 
 let test_metrics_deterministic_across_domains () =
   (* the same per-element events must aggregate identically whether the
-     pool ran serial or on 4 domains; domain-labeled series are the
-     stated exception (they partition differently by construction) *)
+     pool ran serial or on 4 domains — every series, the pool's own
+     included: none is labeled by domain *)
   let work domains =
     Metrics.reset Metrics.global;
     let xs = List.init 40 Fun.id in
@@ -164,10 +164,7 @@ let test_metrics_deterministic_across_domains () =
            Metrics.incr Metrics.global ~labels:[ ("kind", "row") ] "work";
            x * x)
          xs);
-    List.filter
-      (fun (s : Metrics.snap) ->
-        not (List.mem_assoc "domain" s.Metrics.s_labels))
-      (Metrics.snapshot ~reset:true Metrics.global)
+    Metrics.snapshot ~reset:true Metrics.global
   in
   let strip (s : Metrics.snap) =
     (s.Metrics.s_name, s.Metrics.s_labels, s.Metrics.s_count)
@@ -187,10 +184,10 @@ let test_metrics_snapshot_reset () =
 
 (* Retiring a dead domain's shard must be exactly-once: the events move
    to the retired accumulator (same totals), a second retire is a
-   no-op, and a later domain that recycles the id starts from zero
-   instead of resurrecting the dead shard. This is the domain
-   pool's restart path — double-counting here inflated every snapshot
-   taken during a worker replacement. *)
+   no-op, and later events land in fresh shards instead of resurrecting
+   the dead one. The domain pool retires every worker it joins —
+   double-counting here inflated every snapshot taken during a worker
+   replacement. *)
 let test_metrics_retire_exactly_once () =
   let m = Metrics.create () in
   let count name =
