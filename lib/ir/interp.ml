@@ -59,7 +59,6 @@ type state = {
   mem : Fv_mem.Memory.t;
   env : env;
   hk : hooks;
-  mutable tmp : int;  (** fresh temp-register counter for the uop trace *)
   mutable stmt_labels : string array;
       (** memoized ["s<id>"] branch labels, indexed by statement id — an
           [If] executes once per iteration and must not pay a fresh
@@ -81,16 +80,25 @@ let stmt_label st id =
     s
   end
 
-let fresh st =
-  (* hot path: [^] + [string_of_int] is several times cheaper than
-     interpreting a format string per temp register — and with no trace
-     sink attached the name is never observed at all (oracle and
-     profiling-only runs), so skip even that *)
-  match st.hk.emit with
-  | None -> "_"
-  | Some _ ->
-      st.tmp <- st.tmp + 1;
-      "st" ^ string_of_int st.tmp
+(* Temporaries live on an expression stack: the value an [eval] at
+   depth [p] produces sits in slot [p] until its consumer reads it, and
+   only deeper slots are written in between (see {!eval}), so one name
+   per depth is exact. Slot names are built once per process and
+   shared; the table only grows, by swapping in a longer copy. *)
+let slot_names = Atomic.make (Array.init 64 (fun p -> "st" ^ string_of_int p))
+
+let rec slot_name p =
+  let a = Atomic.get slot_names in
+  if p < Array.length a then Array.unsafe_get a p
+  else begin
+    let n = Array.length a in
+    let b =
+      Array.init (max (p + 1) (2 * n)) (fun q ->
+          if q < n then a.(q) else "st" ^ string_of_int q)
+    in
+    ignore (Atomic.compare_and_set slot_names a b);
+    slot_name p
+  end
 
 let emit st (u : Fv_trace.Uop.t) =
   match st.hk.emit with Some f -> f u | None -> ()
@@ -101,13 +109,18 @@ let alu_class a b =
 let mul_class a b =
   if Value.is_float a || Value.is_float b then Latency.Fp_mul else Latency.Int_mul
 
-(** Evaluate an expression; returns its value and the logical register
-    holding it in the trace. [dst] names the destination of the final
-    micro-op (used so a scalar assignment's consumers depend on the
-    variable name). Each case is written out flat — this is the hottest
-    function in trace generation, and a shared [bind_dst] helper costs
-    two closure allocations per expression node. *)
-let rec eval ?dst (st : state) (e : expr) : Value.t * string =
+(** Evaluate an expression at stack depth [p]; returns its value and
+    the logical register holding it in the trace. A [Load]'s index and
+    a [Binop]/[Cmp]'s left operand are evaluated at [p], the right
+    operand at [p + 1], and the node writes its result to slot [p]
+    after reading its operands — so between an operand's producer and
+    its consumer only deeper slots are written. [dst] names the
+    destination of the final micro-op instead (used so a scalar
+    assignment's consumers depend on the variable name). Each case is
+    written out flat — this is the hottest function in trace
+    generation, and a shared [bind_dst] helper costs two closure
+    allocations per expression node. *)
+let rec eval ?dst (st : state) p (e : expr) : Value.t * string =
   match e with
   | Const v -> (
       match dst with
@@ -123,24 +136,22 @@ let rec eval ?dst (st : state) (e : expr) : Value.t * string =
           emit st (Fv_trace.Uop.make ~dst:d ~srcs:[ x ] Latency.Int_alu);
           (v, d))
   | Load (arr, idx) ->
-      let iv, ir = eval st idx in
+      let iv, ir = eval st p idx in
       let addr = Fv_mem.Memory.addr_of st.mem arr (Value.to_int iv) in
       let v = Fv_mem.Memory.load st.mem addr in
       st.hk.on_load addr;
-      let r = fresh st in
       (match st.hk.emit with
-      | None -> (v, r)
+      | None -> (v, "_")
       | Some f ->
-          let d = match dst with Some d -> d | None -> r in
+          let d = match dst with Some d -> d | None -> slot_name p in
           f (Fv_trace.Uop.make ~dst:d ~srcs:[ ir ] ~addr Latency.Load);
           (v, d))
   | Binop (op, a, b) ->
-      let av, ar = eval st a in
-      let bv, br = eval st b in
+      let av, ar = eval st p a in
+      let bv, br = eval st (p + 1) b in
       let v = Value.binop op av bv in
-      let r = fresh st in
       (match st.hk.emit with
-      | None -> (v, r)
+      | None -> (v, "_")
       | Some f ->
           let cls =
             match op with
@@ -150,28 +161,26 @@ let rec eval ?dst (st : state) (e : expr) : Value.t * string =
                 else Latency.Int_mul
             | _ -> alu_class av bv
           in
-          let d = match dst with Some d -> d | None -> r in
+          let d = match dst with Some d -> d | None -> slot_name p in
           f (Fv_trace.Uop.make ~dst:d ~srcs:[ ar; br ] cls);
           (v, d))
   | Cmp (op, a, b) ->
-      let av, ar = eval st a in
-      let bv, br = eval st b in
+      let av, ar = eval st p a in
+      let bv, br = eval st (p + 1) b in
       let v = Value.of_bool (Value.cmp op av bv) in
-      let r = fresh st in
       (match st.hk.emit with
-      | None -> (v, r)
+      | None -> (v, "_")
       | Some f ->
-          let d = match dst with Some d -> d | None -> r in
+          let d = match dst with Some d -> d | None -> slot_name p in
           f (Fv_trace.Uop.make ~dst:d ~srcs:[ ar; br ] (alu_class av bv));
           (v, d))
   | Unop (op, a) ->
-      let av, ar = eval st a in
+      let av, ar = eval st p a in
       let v = Value.unop op av in
-      let r = fresh st in
       (match st.hk.emit with
-      | None -> (v, r)
+      | None -> (v, "_")
       | Some f ->
-          let d = match dst with Some d -> d | None -> r in
+          let d = match dst with Some d -> d | None -> slot_name p in
           f (Fv_trace.Uop.make ~dst:d ~srcs:[ ar ] (alu_class av av));
           (v, d))
 
@@ -179,18 +188,18 @@ let rec exec_stmt (st : state) (s : stmt) : unit =
   st.hk.on_stmt s.id;
   match s.node with
   | Assign (v, e) ->
-      let value, _ = eval ~dst:v st e in
+      let value, _ = eval ~dst:v st 0 e in
       env_set st.env v value
   | Store (arr, idx, e) ->
-      let iv, ir = eval st idx in
-      let ev, er = eval st e in
+      let iv, ir = eval st 0 idx in
+      let ev, er = eval st 1 e in
       let addr = Fv_mem.Memory.addr_of st.mem arr (Value.to_int iv) in
       st.hk.on_store addr;
       emit st (Fv_trace.Uop.make ~srcs:[ ir; er ] ~addr Latency.Store);
       Fv_mem.Memory.store st.mem addr ev
   | Break -> raise Break_exn
   | If (c, t, e) ->
-      let cv, cr = eval st c in
+      let cv, cr = eval st 0 c in
       let taken = Value.truthy cv in
       st.hk.on_branch ~id:s.id ~taken;
       emit st
@@ -201,9 +210,9 @@ let rec exec_stmt (st : state) (s : stmt) : unit =
     (the dynamic trip count). *)
 let run ?(hk = no_hooks) (mem : Fv_mem.Memory.t) (env : env) (l : loop) : int =
   if not (is_numbered l) then invalid_arg "Interp.run: loop is not numbered";
-  let st = { mem; env; hk; tmp = 0; stmt_labels = [||] } in
-  let lo = Value.to_int (fst (eval st l.lo)) in
-  let hi = Value.to_int (fst (eval st l.hi)) in
+  let st = { mem; env; hk; stmt_labels = [||] } in
+  let lo = Value.to_int (fst (eval st 0 l.lo)) in
+  let hi = Value.to_int (fst (eval st 0 l.hi)) in
   let trips = ref 0 in
   let label = "loop." ^ l.name in
   (try
@@ -228,7 +237,7 @@ let run ?(hk = no_hooks) (mem : Fv_mem.Memory.t) (env : env) (l : loop) : int =
     [`Break] if the iteration executed a break. *)
 let run_iteration ?(hk = no_hooks) (mem : Fv_mem.Memory.t) (env : env)
     (l : loop) (i : int) : [ `Ok | `Break ] =
-  let st = { mem; env; hk; tmp = 0; stmt_labels = [||] } in
+  let st = { mem; env; hk; stmt_labels = [||] } in
   env_set env l.index (Value.Int i);
   hk.on_iter i;
   try

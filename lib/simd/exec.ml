@@ -493,9 +493,9 @@ let run ?budget ?emit:trace_sink ?annot ?(injected_trap = false)
     (* lo/hi are loop-invariant: evaluate with the scalar interpreter's
        expression evaluator via a throwaway state *)
     let st =
-      { Fv_ir.Interp.mem; env; hk = Fv_ir.Interp.no_hooks; tmp = 0; stmt_labels = [||] }
+      { Fv_ir.Interp.mem; env; hk = Fv_ir.Interp.no_hooks; stmt_labels = [||] }
     in
-    Value.to_int (fst (Fv_ir.Interp.eval st e))
+    Value.to_int (fst (Fv_ir.Interp.eval st 0 e))
   in
   let lo = scalar_eval vloop.source.lo in
   let hi = scalar_eval vloop.source.hi in

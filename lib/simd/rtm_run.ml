@@ -105,8 +105,8 @@ let run ?budget ?emit ?annot ?(capacity_elems = 6144) ?(retries = 2)
   let emit_u u = match emit with Some f -> f u | None -> () in
   let note kind = match annot with Some f -> f kind | None -> () in
   let scalar_eval e =
-    let st = { Fv_ir.Interp.mem; env; hk = Fv_ir.Interp.no_hooks; tmp = 0; stmt_labels = [||] } in
-    Fv_isa.Value.to_int (fst (Fv_ir.Interp.eval st e))
+    let st = { Fv_ir.Interp.mem; env; hk = Fv_ir.Interp.no_hooks; stmt_labels = [||] } in
+    Fv_isa.Value.to_int (fst (Fv_ir.Interp.eval st 0 e))
   in
   let lo = scalar_eval vloop.source.lo in
   let hi = scalar_eval vloop.source.hi in

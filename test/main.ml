@@ -26,4 +26,5 @@ let () =
       ("snapshot", Test_snapshot.suite);
       ("chaos", Test_chaos.suite);
       ("auto", Test_auto.suite);
+      ("trace", Test_trace.suite);
     ]
