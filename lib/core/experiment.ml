@@ -257,7 +257,6 @@ let rec run_hot ?budget ?(vl = 16) ?(mode : Pipeline.mode = `Event)
       { r with strategy = Auto; auto = Some pick }
   | _ ->
   let sink = Fv_trace.Sink.create () in
-  let emit u = Fv_trace.Sink.push sink u in
   (* annotations are pinned to the trace position current at the moment
      the emulator reports the event *)
   let annot =
@@ -283,7 +282,7 @@ let rec run_hot ?budget ?(vl = 16) ?(mode : Pipeline.mode = `Event)
        entering it so a blown budget cancels at the seam *)
     Fv_parallel.Budget.check_opt budget;
     let m = Memory.clone mem and e = Interp.env_of_list env in
-    let hk = Interp.hooks ~emit () in
+    let hk = Interp.hooks ~emit:sink () in
     ignore (Interp.run ~hk m e l);
     (None, None, fallback, error)
   in
@@ -307,7 +306,7 @@ let rec run_hot ?budget ?(vl = 16) ?(mode : Pipeline.mode = `Event)
     | Ok vloop when traditional_passes vloop ->
         compile := Degraded_traditional d;
         let m = Memory.clone mem and e = Interp.env_of_list env in
-        let stats = Fv_simd.Exec.run ?budget ?annot ~emit vloop m e in
+        let stats = Fv_simd.Exec.run ?budget ?annot ~emit:sink vloop m e in
         (Some stats, Some (Fv_vir.Count.of_vloop vloop), false, None)
     | Ok _ | Error _ ->
         compile := Degraded_scalar d;
@@ -324,7 +323,7 @@ let rec run_hot ?budget ?(vl = 16) ?(mode : Pipeline.mode = `Event)
         | Ok vloop ->
             compile := Vectorized;
             let m = Memory.clone mem and e = Interp.env_of_list env in
-            let stats = Fv_simd.Exec.run ?budget ?annot ~emit vloop m e in
+            let stats = Fv_simd.Exec.run ?budget ?annot ~emit:sink vloop m e in
             (Some stats, Some (Fv_vir.Count.of_vloop vloop), false, None))
     | Flexvec | Wholesale -> (
         let style = Option.get (style_of strategy) in
@@ -349,7 +348,7 @@ let rec run_hot ?budget ?(vl = 16) ?(mode : Pipeline.mode = `Event)
             | Ok _ ->
                 compile := Vectorized;
                 let m = traced_mem () and e = Interp.env_of_list env in
-                let stats = Fv_simd.Exec.run ?budget ?annot ~emit vloop m e in
+                let stats = Fv_simd.Exec.run ?budget ?annot ~emit:sink vloop m e in
                 note_injected m;
                 (Some stats, Some (Fv_vir.Count.of_vloop vloop), false, None)))
     | Rtm tile -> (
@@ -378,7 +377,7 @@ let rec run_hot ?budget ?(vl = 16) ?(mode : Pipeline.mode = `Event)
                 compile := Vectorized;
                 let m = traced_mem () and e = Interp.env_of_list env in
                 let rtm =
-                  Fv_simd.Rtm_run.run ?budget ?annot ~emit ~retries:rtm_retries
+                  Fv_simd.Rtm_run.run ?budget ?annot ~emit:sink ~retries:rtm_retries
                     ~tile vloop m e
                 in
                 note_injected m;
@@ -468,7 +467,6 @@ let rec run_workload ?budget ?(vl = 16) ?(mode : Pipeline.mode = `Event)
   let first = build seed in
   let l = first.Fv_workloads.Kernels.loop in
   let sink = Fv_trace.Sink.create ~capacity:65536 () in
-  let emit u = Fv_trace.Sink.push sink u in
   let annot =
     Option.map
       (fun o kind ->
@@ -540,7 +538,7 @@ let rec run_workload ?budget ?(vl = 16) ?(mode : Pipeline.mode = `Event)
     and env = b.Fv_workloads.Kernels.env in
     let scalar ?(fallback = true) () =
       let m = Memory.clone mem and e = Interp.env_of_list env in
-      let hk = Interp.hooks ~emit () in
+      let hk = Interp.hooks ~emit:sink () in
       ignore (Interp.run ~hk m e l);
       (* only a vectorizing strategy that degrades is a fallback: the
          scalar baseline reporting itself as one was a reporting bug *)
@@ -564,7 +562,7 @@ let rec run_workload ?budget ?(vl = 16) ?(mode : Pipeline.mode = `Event)
       | Some vloop ->
           compile := Degraded_traditional d;
           let m = Memory.clone mem and e = Interp.env_of_list env in
-          exec := Some (Fv_simd.Exec.run ?budget ?annot ~emit vloop m e);
+          exec := Some (Fv_simd.Exec.run ?budget ?annot ~emit:sink vloop m e);
           if !mix = None then mix := Some (Fv_vir.Count.of_vloop vloop)
       | None ->
           compile := Degraded_scalar d;
@@ -581,7 +579,7 @@ let rec run_workload ?budget ?(vl = 16) ?(mode : Pipeline.mode = `Event)
         | Ok vloop ->
             compile := Vectorized;
             let m = Memory.clone mem and e = Interp.env_of_list env in
-            exec := Some (Fv_simd.Exec.run ?budget ?annot ~emit vloop m e);
+            exec := Some (Fv_simd.Exec.run ?budget ?annot ~emit:sink vloop m e);
             if !mix = None then mix := Some (Fv_vir.Count.of_vloop vloop))
     | Flexvec | Wholesale -> (
         match vloop_for (Option.get (style_of strategy)) with
@@ -589,7 +587,7 @@ let rec run_workload ?budget ?(vl = 16) ?(mode : Pipeline.mode = `Event)
         | Ok vloop ->
             compile := Vectorized;
             let m = injected_mem () and e = Interp.env_of_list env in
-            exec := Some (Fv_simd.Exec.run ?budget ?annot ~emit vloop m e);
+            exec := Some (Fv_simd.Exec.run ?budget ?annot ~emit:sink vloop m e);
             note_injected m;
             if !mix = None then mix := Some (Fv_vir.Count.of_vloop vloop))
     | Rtm tile -> (
@@ -599,7 +597,7 @@ let rec run_workload ?budget ?(vl = 16) ?(mode : Pipeline.mode = `Event)
             compile := Vectorized;
             let m = injected_mem () and e = Interp.env_of_list env in
             let r =
-              Fv_simd.Rtm_run.run ?budget ?annot ~emit ~retries:rtm_retries
+              Fv_simd.Rtm_run.run ?budget ?annot ~emit:sink ~retries:rtm_retries
                 ~tile vloop m e
             in
             exec := Some r.Fv_simd.Rtm_run.exec;
@@ -617,8 +615,10 @@ let rec run_workload ?budget ?(vl = 16) ?(mode : Pipeline.mode = `Event)
      distinct invocations of the hot loop (otherwise tiny-trip-count
      loops look artificially parallel) *)
   let invocation_gap () =
+    let gap = Fv_trace.Sink.internal sink Fv_trace.Sink.r_gap in
     for _ = 1 to 100 do
-      emit (Fv_trace.Uop.make ~dst:"_gap" ~srcs:[ "_gap" ] Fv_isa.Latency.Int_alu)
+      Fv_trace.Sink.src sink gap;
+      Fv_trace.Sink.uop sink Fv_isa.Latency.Int_alu ~dst:gap
     done
   in
   let run_one b = Fv_obs.Span.with_ ~cat:"harness" "trace" (fun () -> run_one b) in

@@ -212,18 +212,17 @@ let prefetch_ablation ?(trip = 4096) ?(seed = 29) ?mode ?domains () :
   let build s = tunable_cond_update ~trip ~update_rate:0.01 ~near_rate:0.2 s in
   let trace strategy =
     let sink = Fv_trace.Sink.create ~capacity:65536 () in
-    let emit u = Fv_trace.Sink.push sink u in
-    let b = build seed in
+      let b = build seed in
     let l = b.Fv_workloads.Kernels.loop in
     let m = Fv_mem.Memory.clone b.Fv_workloads.Kernels.mem in
     let e = Fv_ir.Interp.env_of_list b.Fv_workloads.Kernels.env in
     (match strategy with
     | `Scalar ->
-        let hk = Fv_ir.Interp.hooks ~emit () in
+        let hk = Fv_ir.Interp.hooks ~emit:sink () in
         ignore (Fv_ir.Interp.run ~hk m e l)
     | `Flexvec ->
         let vloop = Result.get_ok (Fv_vectorizer.Gen.vectorize l) in
-        ignore (Fv_simd.Exec.run ~emit vloop m e));
+        ignore (Fv_simd.Exec.run ~emit:sink vloop m e));
     sink
   in
   let scalar_trace = trace `Scalar and flexvec_trace = trace `Flexvec in

@@ -9,8 +9,8 @@
       outcomes and statement executions, exactly the statistics the
       paper's modified Pin tool collects (§5).
 
-    With [emit] set it also produces the scalar micro-op trace consumed
-    by [fv_ooo]. *)
+    With a sink in [emit] it also records the scalar micro-op trace
+    consumed by [fv_ooo], by register id ({!Fv_trace.Sink}). *)
 
 open Fv_isa
 open Ast
@@ -35,7 +35,7 @@ type hooks = {
   on_branch : id:int -> taken:bool -> unit;  (** [If] condition outcome *)
   on_load : int -> unit;  (** element address loaded *)
   on_store : int -> unit;  (** element address stored *)
-  emit : (Fv_trace.Uop.t -> unit) option;  (** micro-op trace sink *)
+  emit : Fv_trace.Sink.t option;  (** micro-op trace sink *)
 }
 
 let no_hooks =
@@ -55,53 +55,39 @@ let hooks ?(on_iter = ignore) ?(on_stmt = ignore)
 
 exception Break_exn
 
+module Sink = Fv_trace.Sink
+
 type state = {
   mem : Fv_mem.Memory.t;
   env : env;
   hk : hooks;
-  mutable stmt_labels : string array;
-      (** memoized ["s<id>"] branch labels, indexed by statement id — an
-          [If] executes once per iteration and must not pay a fresh
-          format/concat each time *)
+  sink : Sink.t option;  (** [hk.emit] *)
+  mutable reg : int;
+      (** trace register holding the value {!eval} last returned; only
+          meaningful with a sink *)
+  mutable stmt_lbl : int array;
+      (** label ids of ["s<id>"] branch labels, indexed by statement
+          id (-1: not yet resolved); an [If] executes once per
+          iteration and resolves its label once per run *)
 }
 
-let stmt_label st id =
-  if id >= Array.length st.stmt_labels then begin
-    let n = Array.length st.stmt_labels in
-    let b = Array.make (max 8 (2 * (id + 1))) "" in
-    Array.blit st.stmt_labels 0 b 0 n;
-    st.stmt_labels <- b
+let make_state hk mem env =
+  { mem; env; hk; sink = hk.emit; reg = -1; stmt_lbl = [||] }
+
+let stmt_label st s id =
+  if id >= Array.length st.stmt_lbl then begin
+    let n = Array.length st.stmt_lbl in
+    let b = Array.make (max 8 (2 * (id + 1))) (-1) in
+    Array.blit st.stmt_lbl 0 b 0 n;
+    st.stmt_lbl <- b
   end;
-  let s = st.stmt_labels.(id) in
-  if String.length s > 0 then s
+  let l = st.stmt_lbl.(id) in
+  if l >= 0 then l
   else begin
-    let s = "s" ^ string_of_int id in
-    st.stmt_labels.(id) <- s;
-    s
+    let l = Sink.label s ("s" ^ string_of_int id) in
+    st.stmt_lbl.(id) <- l;
+    l
   end
-
-(* Temporaries live on an expression stack: the value an [eval] at
-   depth [p] produces sits in slot [p] until its consumer reads it, and
-   only deeper slots are written in between (see {!eval}), so one name
-   per depth is exact. Slot names are built once per process and
-   shared; the table only grows, by swapping in a longer copy. *)
-let slot_names = Atomic.make (Array.init 64 (fun p -> "st" ^ string_of_int p))
-
-let rec slot_name p =
-  let a = Atomic.get slot_names in
-  if p < Array.length a then Array.unsafe_get a p
-  else begin
-    let n = Array.length a in
-    let b =
-      Array.init (max (p + 1) (2 * n)) (fun q ->
-          if q < n then a.(q) else "st" ^ string_of_int q)
-    in
-    ignore (Atomic.compare_and_set slot_names a b);
-    slot_name p
-  end
-
-let emit st (u : Fv_trace.Uop.t) =
-  match st.hk.emit with Some f -> f u | None -> ()
 
 let alu_class a b =
   if Value.is_float a || Value.is_float b then Latency.Fp_alu else Latency.Int_alu
@@ -109,50 +95,70 @@ let alu_class a b =
 let mul_class a b =
   if Value.is_float a || Value.is_float b then Latency.Fp_mul else Latency.Int_mul
 
-(** Evaluate an expression at stack depth [p]; returns its value and
-    the logical register holding it in the trace. A [Load]'s index and
-    a [Binop]/[Cmp]'s left operand are evaluated at [p], the right
-    operand at [p + 1], and the node writes its result to slot [p]
-    after reading its operands — so between an operand's producer and
-    its consumer only deeper slots are written. [dst] names the
-    destination of the final micro-op instead (used so a scalar
-    assignment's consumers depend on the variable name). Each case is
-    written out flat — this is the hottest function in trace
-    generation, and a shared [bind_dst] helper costs two closure
-    allocations per expression node. *)
-let rec eval ?dst (st : state) p (e : expr) : Value.t * string =
+(* the register an expression at depth [p] writes: [dst] when given,
+   else temporary [p] *)
+let dst_or_slot s dst p = if dst >= 0 then dst else Sink.internal s (Sink.scalar_tmp p)
+
+(** Evaluate an expression at stack depth [p]; returns its value and,
+    with a sink attached, leaves the trace register holding it in
+    [st.reg]. Temporaries live on an expression stack: a [Load]'s index
+    and a [Binop]/[Cmp]'s left operand are evaluated at [p], the right
+    operand at [p + 1], and the node writes its result to temporary [p]
+    after reading its operands. Between an operand's producer and its
+    consumer only deeper temporaries are written, so one register per
+    depth gives exactly the dependences of one register per temporary,
+    at any depth. (A cyclic pool does not: once more temporaries are
+    live than it has names, a consumer reads a later writer.) [dst]
+    ([-1]: none) is the register the final micro-op writes instead, so
+    a scalar assignment's consumers depend on the variable. Each case
+    is written out flat — this is the hottest function in trace
+    generation. *)
+let rec eval (st : state) p dst (e : expr) : Value.t =
   match e with
-  | Const v -> (
-      match dst with
-      | None -> (v, "_const")
-      | Some d ->
-          emit st (Fv_trace.Uop.make ~dst:d Latency.Int_alu);
-          (v, d))
-  | Var x -> (
+  | Const v ->
+      (match st.sink with
+      | None -> ()
+      | Some s ->
+          if dst < 0 then st.reg <- Sink.internal s Sink.r_const
+          else begin
+            Sink.uop s Latency.Int_alu ~dst;
+            st.reg <- dst
+          end);
+      v
+  | Var x ->
       let v = env_get st.env x in
-      match dst with
-      | None -> (v, x)
-      | Some d ->
-          emit st (Fv_trace.Uop.make ~dst:d ~srcs:[ x ] Latency.Int_alu);
-          (v, d))
+      (match st.sink with
+      | None -> ()
+      | Some s ->
+          let r = Sink.reg s x in
+          if dst < 0 then st.reg <- r
+          else begin
+            Sink.src s r;
+            Sink.uop s Latency.Int_alu ~dst;
+            st.reg <- dst
+          end);
+      v
   | Load (arr, idx) ->
-      let iv, ir = eval st p idx in
+      let iv = eval st p (-1) idx in
       let addr = Fv_mem.Memory.addr_of st.mem arr (Value.to_int iv) in
       let v = Fv_mem.Memory.load st.mem addr in
       st.hk.on_load addr;
-      (match st.hk.emit with
-      | None -> (v, "_")
-      | Some f ->
-          let d = match dst with Some d -> d | None -> slot_name p in
-          f (Fv_trace.Uop.make ~dst:d ~srcs:[ ir ] ~addr Latency.Load);
-          (v, d))
+      (match st.sink with
+      | None -> ()
+      | Some s ->
+          let d = dst_or_slot s dst p in
+          Sink.src s st.reg;
+          Sink.mem_uop s Latency.Load ~dst:d ~addr ~nelems:1;
+          st.reg <- d);
+      v
   | Binop (op, a, b) ->
-      let av, ar = eval st p a in
-      let bv, br = eval st (p + 1) b in
+      let av = eval st p (-1) a in
+      let ar = st.reg in
+      let bv = eval st (p + 1) (-1) b in
       let v = Value.binop op av bv in
-      (match st.hk.emit with
-      | None -> (v, "_")
-      | Some f ->
+      (match st.sink with
+      | None -> ()
+      | Some s ->
           let cls =
             match op with
             | Mul -> mul_class av bv
@@ -161,89 +167,131 @@ let rec eval ?dst (st : state) p (e : expr) : Value.t * string =
                 else Latency.Int_mul
             | _ -> alu_class av bv
           in
-          let d = match dst with Some d -> d | None -> slot_name p in
-          f (Fv_trace.Uop.make ~dst:d ~srcs:[ ar; br ] cls);
-          (v, d))
+          let d = dst_or_slot s dst p in
+          Sink.src s ar;
+          Sink.src s st.reg;
+          Sink.uop s cls ~dst:d;
+          st.reg <- d);
+      v
   | Cmp (op, a, b) ->
-      let av, ar = eval st p a in
-      let bv, br = eval st (p + 1) b in
+      let av = eval st p (-1) a in
+      let ar = st.reg in
+      let bv = eval st (p + 1) (-1) b in
       let v = Value.of_bool (Value.cmp op av bv) in
-      (match st.hk.emit with
-      | None -> (v, "_")
-      | Some f ->
-          let d = match dst with Some d -> d | None -> slot_name p in
-          f (Fv_trace.Uop.make ~dst:d ~srcs:[ ar; br ] (alu_class av bv));
-          (v, d))
+      (match st.sink with
+      | None -> ()
+      | Some s ->
+          let d = dst_or_slot s dst p in
+          Sink.src s ar;
+          Sink.src s st.reg;
+          Sink.uop s (alu_class av bv) ~dst:d;
+          st.reg <- d);
+      v
   | Unop (op, a) ->
-      let av, ar = eval st p a in
+      let av = eval st p (-1) a in
       let v = Value.unop op av in
-      (match st.hk.emit with
-      | None -> (v, "_")
-      | Some f ->
-          let d = match dst with Some d -> d | None -> slot_name p in
-          f (Fv_trace.Uop.make ~dst:d ~srcs:[ ar ] (alu_class av av));
-          (v, d))
+      (match st.sink with
+      | None -> ()
+      | Some s ->
+          let d = dst_or_slot s dst p in
+          Sink.src s st.reg;
+          Sink.uop s (alu_class av av) ~dst:d;
+          st.reg <- d);
+      v
+
+(** The value of a loop-invariant expression (a bound), with no hooks
+    and no trace. *)
+let eval_int mem env e = Value.to_int (eval (make_state no_hooks mem env) 0 (-1) e)
 
 let rec exec_stmt (st : state) (s : stmt) : unit =
   st.hk.on_stmt s.id;
   match s.node with
   | Assign (v, e) ->
-      let value, _ = eval ~dst:v st 0 e in
-      env_set st.env v value
+      let d = match st.sink with Some sk -> Sink.reg sk v | None -> -1 in
+      env_set st.env v (eval st 0 d e)
   | Store (arr, idx, e) ->
-      let iv, ir = eval st 0 idx in
-      let ev, er = eval st 1 e in
+      let iv = eval st 0 (-1) idx in
+      let ir = st.reg in
+      let ev = eval st 1 (-1) e in
       let addr = Fv_mem.Memory.addr_of st.mem arr (Value.to_int iv) in
       st.hk.on_store addr;
-      emit st (Fv_trace.Uop.make ~srcs:[ ir; er ] ~addr Latency.Store);
+      (match st.sink with
+      | None -> ()
+      | Some sk ->
+          Sink.src sk ir;
+          Sink.src sk st.reg;
+          Sink.mem_uop sk Latency.Store ~dst:(-1) ~addr ~nelems:1);
       Fv_mem.Memory.store st.mem addr ev
   | Break -> raise Break_exn
   | If (c, t, e) ->
-      let cv, cr = eval st 0 c in
+      let cv = eval st 0 (-1) c in
       let taken = Value.truthy cv in
       st.hk.on_branch ~id:s.id ~taken;
-      emit st
-        (Fv_trace.Uop.branch ~label:(stmt_label st s.id) ~taken ~srcs:[ cr ]);
+      (match st.sink with
+      | None -> ()
+      | Some sk ->
+          Sink.src sk st.reg;
+          Sink.branch sk (stmt_label st sk s.id) ~taken);
       List.iter (exec_stmt st) (if taken then t else e)
 
 (** Run the loop to completion. Returns the number of iterations entered
     (the dynamic trip count). *)
 let run ?(hk = no_hooks) (mem : Fv_mem.Memory.t) (env : env) (l : loop) : int =
   if not (is_numbered l) then invalid_arg "Interp.run: loop is not numbered";
-  let st = { mem; env; hk; stmt_labels = [||] } in
-  let lo = Value.to_int (fst (eval st 0 l.lo)) in
-  let hi = Value.to_int (fst (eval st 0 l.hi)) in
+  let st = make_state hk mem env in
+  let lo = Value.to_int (eval st 0 (-1) l.lo) in
+  let hi = Value.to_int (eval st 0 (-1) l.hi) in
   let trips = ref 0 in
-  let label = "loop." ^ l.name in
+  (* loop control: index increment, bound check and back-edge, with
+     the index register and the label resolved once per run *)
+  let ix, label =
+    match st.sink with
+    | Some s -> (Sink.reg s l.index, Sink.label s ("loop." ^ l.name))
+    | None -> (-1, 0)
+  in
+  let back_edge ~taken =
+    match st.sink with
+    | Some s ->
+        Sink.src s ix;
+        Sink.branch s label ~taken
+    | None -> ()
+  in
   (try
      let i = ref lo in
      while !i < hi do
        env_set env l.index (Value.Int !i);
        hk.on_iter !i;
-       (* loop-control micro-ops: index increment, bound check, back-edge *)
-       emit st (Fv_trace.Uop.make ~dst:l.index ~srcs:[ l.index ] Latency.Int_alu);
-       emit st (Fv_trace.Uop.branch ~label ~taken:true ~srcs:[ l.index ]);
+       (match st.sink with
+       | Some s ->
+           Sink.src s ix;
+           Sink.uop s Latency.Int_alu ~dst:ix
+       | None -> ());
+       back_edge ~taken:true;
        incr trips;
        List.iter (exec_stmt st) l.body;
        incr i
      done;
-     emit st (Fv_trace.Uop.branch ~label ~taken:false ~srcs:[ l.index ])
+     back_edge ~taken:false
    with Break_exn -> ());
   !trips
 
-(** Execute the loop body once for index [i] — the scalar-fallback entry
-    point used by the vector emulator after a first-faulting mismatch
-    (§4.1: "falls back to a scalar version of the loop"). Returns
-    [`Break] if the iteration executed a break. *)
+(** [run_iteration ?hk mem env l] prepares the per-run state once and
+    returns a function that executes the loop body for one index [i] —
+    the scalar-fallback entry point used by the vector emulator after a
+    first-faulting mismatch (§4.1: "falls back to a scalar version of
+    the loop") and by RTM's scalar tiles, which call it once per lane or
+    iteration. The function returns [`Break] if the iteration executed
+    a break. *)
 let run_iteration ?(hk = no_hooks) (mem : Fv_mem.Memory.t) (env : env)
-    (l : loop) (i : int) : [ `Ok | `Break ] =
-  let st = { mem; env; hk; stmt_labels = [||] } in
-  env_set env l.index (Value.Int i);
-  hk.on_iter i;
-  try
-    List.iter (exec_stmt st) l.body;
-    `Ok
-  with Break_exn -> `Break
+    (l : loop) : int -> [ `Ok | `Break ] =
+  let st = make_state hk mem env in
+  fun i ->
+    env_set env l.index (Value.Int i);
+    hk.on_iter i;
+    try
+      List.iter (exec_stmt st) l.body;
+      `Ok
+    with Break_exn -> `Break
 
 (** Run and return the live-out environment restricted to [l.live_out]. *)
 let run_live_out ?hk mem env l : int * (string * Value.t) list =

@@ -79,7 +79,6 @@ let profile ?(invocations = 1) ?(other_uops = 0) (l : Fv_ir.Ast.loop)
       (Fv_ir.Ast.all_stmts l)
   in
   let trips = ref 0 and deps = ref 0 in
-  let mem_uops = ref 0 and compute_uops = ref 0 and total_uops = ref 0 in
   let branches = ref 0 and taken = ref 0 in
   (* windowed conflict detection for the memory pattern: a load hitting
      an address stored by one of the previous VL-1 iterations *)
@@ -123,13 +122,11 @@ let profile ?(invocations = 1) ?(other_uops = 0) (l : Fv_ir.Ast.loop)
     incr branches;
     if t then incr taken
   in
-  let emit (u : Fv_trace.Uop.t) =
-    incr total_uops;
-    if Latency.is_mem u.cls then incr mem_uops
-    else if not (Latency.is_branch u.cls) then incr compute_uops
-  in
+  (* the micro-op mix, counted by class without recording the trace *)
+  let counter = Fv_trace.Sink.create ~record:false () in
   let hk =
-    Fv_ir.Interp.hooks ~on_iter ~on_stmt ~on_branch ~on_load ~on_store ~emit ()
+    Fv_ir.Interp.hooks ~on_iter ~on_stmt ~on_branch ~on_load ~on_store
+      ~emit:counter ()
   in
   (* every profiled invocation clones the same initial [mem]/[env], so
      the interpreter's dynamic behaviour is invocation-invariant:
@@ -140,6 +137,13 @@ let profile ?(invocations = 1) ?(other_uops = 0) (l : Fv_ir.Ast.loop)
   let m = Fv_mem.Memory.clone mem in
   let e = Fv_ir.Interp.env_of_list env in
   ignore (Fv_ir.Interp.run ~hk m e l);
+  let mem_uops = ref 0 and compute_uops = ref 0 in
+  List.iter
+    (fun (cls, n) ->
+      if Latency.is_mem cls then mem_uops := !mem_uops + n
+      else if not (Latency.is_branch cls) then compute_uops := !compute_uops + n)
+    (Fv_trace.Sink.histogram counter);
+  let total_uops = ref (Fv_trace.Sink.length counter) in
   List.iter
     (fun r -> r := !r * invocations)
     [ trips; deps; mem_uops; compute_uops; total_uops; branches; taken ];

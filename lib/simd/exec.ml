@@ -15,7 +15,7 @@
 open Fv_isa
 open Fv_vir.Inst
 module Memory = Fv_mem.Memory
-module Uop = Fv_trace.Uop
+module Sink = Fv_trace.Sink
 
 type stats = {
   mutable strips : int;  (** vector strips executed *)
@@ -34,23 +34,30 @@ let pp_stats ppf (s : stats) =
   Fmt.pf ppf "strips=%d vpl_iters=%d vpl_extra=%d fallbacks=%d fallback_iters=%d"
     s.strips s.vpl_iterations s.vpl_extra s.fallbacks s.fallback_iters
 
+(* A register-file entry: the value and the register's trace id (-1
+   without a sink), resolved once when the entry is created. *)
+type vslot = { mutable v : Vreg.t; vid : int }
+type kslot = { mutable k : Mask.t; kid : int }
+
 type state = {
   vl : int;
   mem : Memory.t;
   env : Fv_ir.Interp.env;
-  vregs : (string, Vreg.t) Hashtbl.t;
-  kregs : (string, Mask.t) Hashtbl.t;
+  vregs : (string, vslot) Hashtbl.t;
+  kregs : (string, kslot) Hashtbl.t;
   mutable vi : int;  (** scalar index of lane 0 of the current strip *)
   mutable hi : int;
   mutable brk : bool;  (** an early exit committed: stop after this strip *)
-  emit : (Uop.t -> unit) option;
+  sink : Sink.t option;
   annot : (string -> unit) option;
       (** observability side channel: noteworthy execution events
           (injected faults, VPL re-partitions, FF fallbacks) keyed to
           the current trace position; see {!Fv_obs.Annot} *)
   vloop : vloop;
   stats : stats;
-  mutable tmp : int;
+  scalar_iter : (int -> [ `Ok | `Break ]) Lazy.t;
+      (** the scalar interpreter over [vloop.source], set up once per
+          run for the fallbacks *)
   injected_trap : bool;
       (** inside an RTM transaction, an injected fault on a plain
           (non-first-faulting) access must trap so the transaction
@@ -63,59 +70,64 @@ exception Vector_exec_error of string
 
 let error fmt = Fmt.kstr (fun s -> raise (Vector_exec_error s)) fmt
 
-let getv st v =
-  match Hashtbl.find_opt st.vregs v with
+let reg_id st r = match st.sink with Some s -> Sink.reg s r | None -> -1
+
+(* merge-masked destinations legitimately read an undefined register:
+   an entry is created, zeroed, on first use *)
+let vslot st r =
+  match Hashtbl.find_opt st.vregs r with
   | Some x -> x
   | None ->
-      (* merge-masked destinations legitimately read an undefined dst *)
-      let z = Vreg.zero st.vl in
-      Hashtbl.replace st.vregs v z;
-      z
+      let x = { v = Vreg.zero st.vl; vid = reg_id st r } in
+      Hashtbl.replace st.vregs r x;
+      x
 
-let setv st v x = Hashtbl.replace st.vregs v x
-
-let getk st k =
-  match Hashtbl.find_opt st.kregs k with
+let kslot st r =
+  match Hashtbl.find_opt st.kregs r with
   | Some x -> x
   | None ->
-      let z = Mask.none st.vl in
-      Hashtbl.replace st.kregs k z;
-      z
+      let x = { k = Mask.none st.vl; kid = reg_id st r } in
+      Hashtbl.replace st.kregs r x;
+      x
 
-let setk st k x = Hashtbl.replace st.kregs k x
+let getv st r = (vslot st r).v
+let getk st r = (kslot st r).k
 
 let atom st = function
   | Imm v -> v
   | Sca x -> Fv_ir.Interp.env_get st.env x
 
-let atom_srcs = function Imm _ -> [] | Sca x -> [ x ]
-
-let emit st u = match st.emit with Some f -> f u | None -> ()
-
 let note st kind = match st.annot with Some f -> f kind | None -> ()
 
-(* Temp names cycle through a preallocated pool of shared strings
-   rather than minting ["vt" ^ n] fresh per temp: the trace sink
-   interns register names by physical equality, and a trace full of
-   once-used strings defeats that cache and bloats its register table.
-   Correctness needs only that two simultaneously-live temps never share
-   a name; at most [vl + 1] temps are live at once (a gather's setup op
-   plus one lane temp per element, vl <= 16), far under the pool size.
-   The ["_vt"] prefix is reserved: the vectorizer names VIR registers
-   ["vt<n>"], and the old ["vt" ^ n] temps could accidentally alias
-   them, splicing a transient lane temp into a vloop register's
-   dependence chain. *)
-let tmp_pool_n = 64
-let tmp_pool = Array.init tmp_pool_n (fun i -> "_vt" ^ string_of_int i)
+(* Recording, in {!Sink}'s protocol: [src] per source register, then
+   one closing call. Every helper is a no-op without a sink. *)
+let src st id = match st.sink with Some s -> Sink.src s id | None -> ()
 
-let fresh st =
-  (* temp names only exist inside the trace; with no sink attached
-     (oracle runs) skip the lookup *)
-  match st.emit with
-  | None -> "_"
-  | Some _ ->
-      st.tmp <- st.tmp + 1;
-      Array.unsafe_get tmp_pool (st.tmp land (tmp_pool_n - 1))
+let src_atom st = function Imm _ -> () | Sca x -> src st (reg_id st x)
+
+let uop st cls ~dst = match st.sink with Some s -> Sink.uop s cls ~dst | None -> ()
+
+let mem_uop st cls ~dst ~addr ~nelems =
+  match st.sink with
+  | Some s -> Sink.mem_uop s cls ~dst ~addr ~nelems
+  | None -> ()
+
+let internal st k = match st.sink with Some s -> Sink.internal s k | None -> -1
+
+let branch st label ~taken =
+  match st.sink with
+  | Some s -> Sink.branch s (Sink.label s label) ~taken
+  | None -> ()
+
+(* Temporaries are slots of the instruction that uses them
+   ({!Sink.vector_tmp}): a gather's or scatter's setup uop writes slot
+   0 and the lane loads of a gather slots 1 .. vl, so the merge uop
+   reads [vl + 1] distinct registers at any vector length; a horizontal
+   reduction's shuffle chain alternates slots 0 and 1. A temporary is
+   produced and consumed inside one instruction, so reusing the slots
+   across instructions loses no dependence. They are reserved ids, so
+   no VIR register can alias them. *)
+let tmp st q = internal st (Sink.vector_tmp q)
 
 let lanes_float (k : Mask.t) (v : Vreg.t) =
   let fl = ref false in
@@ -229,25 +241,32 @@ let identity_for (op : Value.binop) (cur : Value.t) : Value.t =
 
 let do_init_acc st v x op =
   let cur = Fv_ir.Interp.env_get st.env x in
-  setv st v (Vreg.broadcast st.vl (identity_for op cur));
-  emit st (Uop.make ~dst:v ~srcs:[ x ] Latency.Vec_broadcast)
+  let sv = vslot st v in
+  sv.v <- Vreg.broadcast st.vl (identity_for op cur);
+  src st (reg_id st x);
+  uop st Latency.Vec_broadcast ~dst:sv.vid
 
 let do_fold_acc st x op v =
-  let acc = getv st v in
+  let sv = vslot st v in
   let cur = Fv_ir.Interp.env_get st.env x in
-  let folded = Vreg.reduce (Mask.full st.vl) op ~init:cur acc in
+  let folded = Vreg.reduce (Mask.full st.vl) op ~init:cur sv.v in
   Fv_ir.Interp.env_set st.env x folded;
   (* horizontal reduce: log2(vl) shuffle+op pairs, then a scalar move *)
-  let steps = max 1 (int_of_float (ceil (log (float_of_int st.vl) /. log 2.))) in
-  let prev = ref v in
-  for _ = 1 to steps do
-    let t = fresh st in
-    emit st (Uop.make ~dst:t ~srcs:[ !prev ] Latency.Vec_alu);
-    prev := t
-  done;
-  emit st (Uop.make ~dst:x ~srcs:[ !prev ] Latency.Int_alu);
+  (match st.sink with
+  | None -> ()
+  | Some s ->
+      let steps = max 1 (int_of_float (ceil (log (float_of_int st.vl) /. log 2.))) in
+      let prev = ref sv.vid in
+      for j = 1 to steps do
+        let t = Sink.internal s (Sink.vector_tmp (j land 1)) in
+        Sink.src s !prev;
+        Sink.uop s Latency.Vec_alu ~dst:t;
+        prev := t
+      done;
+      Sink.src s !prev;
+      Sink.uop s Latency.Int_alu ~dst:(Sink.reg s x));
   (* reset partials so a later fold in the same strip is a no-op *)
-  setv st v (Vreg.broadcast st.vl (identity_for op (Fv_ir.Interp.env_get st.env x)))
+  sv.v <- Vreg.broadcast st.vl (identity_for op (Fv_ir.Interp.env_get st.env x))
 
 (** Scalar fallback after a speculative fault (§4.1): fold reduction
     partials into the environment, execute the remaining lanes with the
@@ -257,182 +276,237 @@ let do_fallback st (remaining : Mask.t) =
   st.stats.fallbacks <- st.stats.fallbacks + 1;
   let sync = st.vloop.sync in
   List.iter (fun (x, op, v) -> do_fold_acc st x op v) sync.reductions;
-  let hk =
-    match st.emit with
-    | None -> Fv_ir.Interp.no_hooks
-    | Some f -> Fv_ir.Interp.hooks ~emit:f ()
-  in
-  (try
-     for l = 0 to st.vl - 1 do
-       if Mask.get remaining l && not st.brk then begin
-         st.stats.fallback_iters <- st.stats.fallback_iters + 1;
-         match
-           Fv_ir.Interp.run_iteration ~hk st.mem st.env st.vloop.source
-             (st.vi + l)
-         with
-         | `Ok -> ()
-         | `Break -> st.brk <- true
-       end
-     done
-   with e -> raise e);
+  let scalar_iter = Lazy.force st.scalar_iter in
+  for l = 0 to st.vl - 1 do
+    if Mask.get remaining l && not st.brk then begin
+      st.stats.fallback_iters <- st.stats.fallback_iters + 1;
+      match scalar_iter (st.vi + l) with
+      | `Ok -> ()
+      | `Break -> st.brk <- true
+    end
+  done;
   (* "*" means every mask register: after a fallback, the remainder of
      the strip program must execute as a no-op *)
   if List.mem "*" sync.clear_on_fallback then
-    Hashtbl.iter
-      (fun k _ -> Hashtbl.replace st.kregs k (Mask.none st.vl))
-      (Hashtbl.copy st.kregs)
-  else List.iter (fun k -> setk st k (Mask.none st.vl)) sync.clear_on_fallback;
+    Hashtbl.iter (fun _ x -> x.k <- Mask.none st.vl) st.kregs
+  else
+    List.iter (fun k -> (kslot st k).k <- Mask.none st.vl) sync.clear_on_fallback;
   List.iter
     (fun (x, v) ->
-      setv st v (Vreg.broadcast st.vl (Fv_ir.Interp.env_get st.env x)))
+      (vslot st v).v <- Vreg.broadcast st.vl (Fv_ir.Interp.env_get st.env x))
     sync.uniforms
+
+(* a gather's trace: the setup uop, one load per touched lane, and the
+   merge into [sv] reading the setup and every lane *)
+let gather_uops st cls (sk : kslot) (sidx : vslot) (sv : vslot) addrs =
+  match st.sink with
+  | None -> ()
+  | Some s ->
+      let setup = Sink.internal s (Sink.vector_tmp 0) in
+      Sink.src s sk.kid;
+      Sink.src s sidx.vid;
+      Sink.uop s cls ~dst:setup;
+      let rec lanes j = function
+        | [] -> j
+        | a :: rest ->
+            Sink.src s setup;
+            Sink.mem_uop s Latency.Load ~dst:(Sink.internal s (Sink.vector_tmp j))
+              ~addr:a ~nelems:1;
+            lanes (j + 1) rest
+      in
+      let n = lanes 1 addrs in
+      Sink.src s setup;
+      for j = 1 to n - 1 do
+        Sink.src s (Sink.internal s (Sink.vector_tmp j))
+      done;
+      Sink.uop s Latency.Vec_alu ~dst:sv.vid
 
 (* ------------------------------------------------------------------ *)
 (* Instruction dispatch                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* two- and one-operand mask instructions *)
+let mask_op2 st f d a b =
+  let sa = kslot st a and sb = kslot st b and sd = kslot st d in
+  sd.k <- f sa.k sb.k;
+  src st sa.kid;
+  src st sb.kid;
+  uop st Latency.Mask_op ~dst:sd.kid
+
+let mask_op1 st f d a =
+  let sa = kslot st a and sd = kslot st d in
+  sd.k <- f sa.k;
+  src st sa.kid;
+  uop st Latency.Mask_op ~dst:sd.kid
+
 let exec_inst (st : state) (i : vinst) : unit =
   match i with
   | Iota v ->
-      setv st v (Vreg.iota st.vl ~base:st.vi ~step:1);
-      emit st (Uop.make ~dst:v ~srcs:[ "vi" ] Latency.Vec_alu)
+      let sv = vslot st v in
+      sv.v <- Vreg.iota st.vl ~base:st.vi ~step:1;
+      src st (internal st Sink.r_vi);
+      uop st Latency.Vec_alu ~dst:sv.vid
   | Broadcast (v, a) ->
-      setv st v (Vreg.broadcast st.vl (atom st a));
-      emit st (Uop.make ~dst:v ~srcs:(atom_srcs a) Latency.Vec_broadcast)
+      let sv = vslot st v in
+      sv.v <- Vreg.broadcast st.vl (atom st a);
+      src_atom st a;
+      uop st Latency.Vec_broadcast ~dst:sv.vid
   | Load (v, k, arr, off) ->
-      let km = getk st k in
+      let sk = kslot st k and sv = vslot st v in
       let base = Memory.base_of st.mem arr + st.vi + Value.to_int (atom st off) in
-      let dst = Vreg.copy (getv st v) in
-      let _ = do_load st ~ff:false dst km base in
-      setv st v dst;
-      emit st
-        (Uop.make ~dst:v ~srcs:(k :: atom_srcs off) ~addr:base
-           ~nelems:(Mask.popcount km) Latency.Load)
+      let dst = Vreg.copy sv.v in
+      let _ = do_load st ~ff:false dst sk.k base in
+      sv.v <- dst;
+      src st sk.kid;
+      src_atom st off;
+      mem_uop st Latency.Load ~dst:sv.vid ~addr:base ~nelems:(Mask.popcount sk.k)
   | Load_ff (v, k, arr, off) ->
-      let km = getk st k in
+      let sk = kslot st k and sv = vslot st v in
+      let km = sk.k in
       let base = Memory.base_of st.mem arr + st.vi + Value.to_int (atom st off) in
-      let dst = Vreg.copy (getv st v) in
+      let dst = Vreg.copy sv.v in
       let kout = do_load st ~ff:true dst km base in
-      setv st v dst;
-      setk st k kout;
-      emit st
-        (Uop.make ~dst:v ~srcs:(k :: atom_srcs off) ~addr:base
-           ~nelems:(Mask.popcount km) Latency.Load_ff)
+      sv.v <- dst;
+      sk.k <- kout;
+      src st sk.kid;
+      src_atom st off;
+      mem_uop st Latency.Load_ff ~dst:sv.vid ~addr:base ~nelems:(Mask.popcount km)
   | Gather (v, k, arr, idx) ->
-      let km = getk st k and iv = getv st idx in
-      let dst = Vreg.copy (getv st v) in
-      let _, addrs = do_gather st ~ff:false ~arr dst km iv in
-      setv st v dst;
-      let setup = fresh st in
-      emit st (Uop.make ~dst:setup ~srcs:[ k; idx ] Latency.Gather);
-      let temps =
-        List.map
-          (fun a ->
-            let t = fresh st in
-            emit st (Uop.make ~dst:t ~srcs:[ setup ] ~addr:a Latency.Load);
-            t)
-          addrs
-      in
-      emit st (Uop.make ~dst:v ~srcs:(setup :: temps) Latency.Vec_alu)
+      let sk = kslot st k and sidx = vslot st idx and sv = vslot st v in
+      let dst = Vreg.copy sv.v in
+      let _, addrs = do_gather st ~ff:false ~arr dst sk.k sidx.v in
+      sv.v <- dst;
+      gather_uops st Latency.Gather sk sidx sv addrs
   | Gather_ff (v, k, arr, idx) ->
-      let km = getk st k and iv = getv st idx in
-      let dst = Vreg.copy (getv st v) in
-      let kout, addrs = do_gather st ~ff:true ~arr dst km iv in
-      setv st v dst;
-      setk st k kout;
-      let setup = fresh st in
-      emit st (Uop.make ~dst:setup ~srcs:[ k; idx ] Latency.Gather_ff);
-      let temps =
-        List.map
-          (fun a ->
-            let t = fresh st in
-            emit st (Uop.make ~dst:t ~srcs:[ setup ] ~addr:a Latency.Load);
-            t)
-          addrs
-      in
-      emit st (Uop.make ~dst:v ~srcs:(setup :: temps) Latency.Vec_alu)
+      let sk = kslot st k and sidx = vslot st idx and sv = vslot st v in
+      let dst = Vreg.copy sv.v in
+      let kout, addrs = do_gather st ~ff:true ~arr dst sk.k sidx.v in
+      sv.v <- dst;
+      sk.k <- kout;
+      gather_uops st Latency.Gather_ff sk sidx sv addrs
   | Store (k, arr, off, v) ->
-      let km = getk st k and vv = getv st v in
+      let sk = kslot st k and sv = vslot st v in
+      let km = sk.k and vv = sv.v in
       let base = Memory.base_of st.mem arr + st.vi + Value.to_int (atom st off) in
       for l = 0 to st.vl - 1 do
         if Mask.get km l then Memory.store st.mem (base + l) (Vreg.get vv l)
       done;
-      emit st
-        (Uop.make ~srcs:(k :: v :: atom_srcs off) ~addr:base
-           ~nelems:(Mask.popcount km) Latency.Store)
+      src st sk.kid;
+      src st sv.vid;
+      src_atom st off;
+      mem_uop st Latency.Store ~dst:(-1) ~addr:base ~nelems:(Mask.popcount km)
   | Scatter (k, arr, idx, v) ->
-      let km = getk st k and iv = getv st idx and vv = getv st v in
+      let sk = kslot st k and sidx = vslot st idx and sv = vslot st v in
+      let km = sk.k and iv = sidx.v and vv = sv.v in
       let base = Memory.base_of st.mem arr in
-      let setup = fresh st in
-      emit st (Uop.make ~dst:setup ~srcs:[ k; idx; v ] Latency.Scatter);
+      let setup = tmp st 0 in
+      src st sk.kid;
+      src st sidx.vid;
+      src st sv.vid;
+      uop st Latency.Scatter ~dst:setup;
       for l = 0 to st.vl - 1 do
         if Mask.get km l then begin
           let a = base + Value.to_int (Vreg.get iv l) in
           Memory.store st.mem a (Vreg.get vv l);
-          emit st (Uop.make ~srcs:[ setup ] ~addr:a Latency.Store)
+          src st setup;
+          mem_uop st Latency.Store ~dst:(-1) ~addr:a ~nelems:1
         end
       done
   | Binop (d, op, k, a, b) ->
-      let km = getk st k and av = getv st a and bv = getv st b in
-      let cls = vec_cls op km av bv in
-      setv st d (Vreg.binop_mask km op ~dst:(getv st d) av bv);
-      emit st (Uop.make ~dst:d ~srcs:[ k; a; b; d ] cls)
+      let sk = kslot st k and sa = vslot st a and sb = vslot st b in
+      let sd = vslot st d in
+      let cls = vec_cls op sk.k sa.v sb.v in
+      sd.v <- Vreg.binop_mask sk.k op ~dst:sd.v sa.v sb.v;
+      src st sk.kid;
+      src st sa.vid;
+      src st sb.vid;
+      src st sd.vid;
+      uop st cls ~dst:sd.vid
   | Unop (d, op, k, a) ->
-      let km = getk st k and av = getv st a in
-      setv st d (Vreg.unop_mask km op ~dst:(getv st d) av);
-      emit st (Uop.make ~dst:d ~srcs:[ k; a; d ] Latency.Vec_alu)
+      let sk = kslot st k and sa = vslot st a and sd = vslot st d in
+      sd.v <- Vreg.unop_mask sk.k op ~dst:sd.v sa.v;
+      src st sk.kid;
+      src st sa.vid;
+      src st sd.vid;
+      uop st Latency.Vec_alu ~dst:sd.vid
   | Blend (d, k, a, b) ->
-      setv st d (Vreg.blend (getk st k) (getv st a) (getv st b));
-      emit st (Uop.make ~dst:d ~srcs:[ k; a; b ] Latency.Vec_alu)
+      let sk = kslot st k and sa = vslot st a and sb = vslot st b in
+      let sd = vslot st d in
+      sd.v <- Vreg.blend sk.k sa.v sb.v;
+      src st sk.kid;
+      src st sa.vid;
+      src st sb.vid;
+      uop st Latency.Vec_alu ~dst:sd.vid
   | Slct_last (d, k, a) ->
-      setv st d (Vreg.vpslctlast (getk st k) (getv st a));
-      emit st (Uop.make ~dst:d ~srcs:[ k; a ] Latency.Slct_last)
+      let sk = kslot st k and sa = vslot st a and sd = vslot st d in
+      sd.v <- Vreg.vpslctlast sk.k sa.v;
+      src st sk.kid;
+      src st sa.vid;
+      uop st Latency.Slct_last ~dst:sd.vid
   | Cmp (d, op, k, a, b) ->
-      setk st d (Vreg.cmp_mask (getk st k) op (getv st a) (getv st b));
-      emit st (Uop.make ~dst:d ~srcs:[ k; a; b ] Latency.Vec_alu)
+      let sk = kslot st k and sa = vslot st a and sb = vslot st b in
+      let sd = kslot st d in
+      sd.k <- Vreg.cmp_mask sk.k op sa.v sb.v;
+      src st sk.kid;
+      src st sa.vid;
+      src st sb.vid;
+      uop st Latency.Vec_alu ~dst:sd.kid
   | Conflictm (d, k2, a, b) ->
-      let enabled = Option.map (getk st) k2 in
-      setk st d (Vreg.vpconflictm ?enabled (getv st a) (getv st b));
-      emit st
-        (Uop.make ~dst:d
-           ~srcs:((match k2 with Some k -> [ k ] | None -> []) @ [ a; b ])
-           Latency.Conflictm)
+      let s2 = Option.map (kslot st) k2 in
+      let sa = vslot st a and sb = vslot st b and sd = kslot st d in
+      let enabled = Option.map (fun x -> x.k) s2 in
+      sd.k <- Vreg.vpconflictm ?enabled sa.v sb.v;
+      Option.iter (fun x -> src st x.kid) s2;
+      src st sa.vid;
+      src st sb.vid;
+      uop st Latency.Conflictm ~dst:sd.kid
   | Kftm_exc (d, w, s) ->
-      setk st d (Mask.kftm_exc ~write:(getk st w) (getk st s));
-      emit st (Uop.make ~dst:d ~srcs:[ w; s ] Latency.Kftm)
+      let sw = kslot st w and ss = kslot st s and sd = kslot st d in
+      sd.k <- Mask.kftm_exc ~write:sw.k ss.k;
+      src st sw.kid;
+      src st ss.kid;
+      uop st Latency.Kftm ~dst:sd.kid
   | Kftm_inc (d, w, s) ->
-      setk st d (Mask.kftm_inc ~write:(getk st w) (getk st s));
-      emit st (Uop.make ~dst:d ~srcs:[ w; s ] Latency.Kftm)
-  | Kand (d, a, b) ->
-      setk st d (Mask.kand (getk st a) (getk st b));
-      emit st (Uop.make ~dst:d ~srcs:[ a; b ] Latency.Mask_op)
-  | Kandn (d, a, b) ->
-      setk st d (Mask.kandn (getk st a) (getk st b));
-      emit st (Uop.make ~dst:d ~srcs:[ a; b ] Latency.Mask_op)
-  | Kor (d, a, b) ->
-      setk st d (Mask.kor (getk st a) (getk st b));
-      emit st (Uop.make ~dst:d ~srcs:[ a; b ] Latency.Mask_op)
-  | Knot (d, a) ->
-      setk st d (Mask.knot (getk st a));
-      emit st (Uop.make ~dst:d ~srcs:[ a ] Latency.Mask_op)
-  | Kmov (d, a) ->
-      setk st d (Mask.copy (getk st a));
-      emit st (Uop.make ~dst:d ~srcs:[ a ] Latency.Mask_op)
+      let sw = kslot st w and ss = kslot st s and sd = kslot st d in
+      sd.k <- Mask.kftm_inc ~write:sw.k ss.k;
+      src st sw.kid;
+      src st ss.kid;
+      uop st Latency.Kftm ~dst:sd.kid
+  | Kand (d, a, b) -> mask_op2 st Mask.kand d a b
+  | Kandn (d, a, b) -> mask_op2 st Mask.kandn d a b
+  | Kor (d, a, b) -> mask_op2 st Mask.kor d a b
+  | Knot (d, a) -> mask_op1 st Mask.knot d a
+  | Kmov (d, a) -> mask_op1 st Mask.copy d a
   | Kset_loop k ->
-      setk st k (Mask.iota_lt st.vl (max 0 (st.hi - st.vi)));
-      emit st (Uop.make ~dst:k ~srcs:[ "vi" ] Latency.Mask_op)
+      let sk = kslot st k in
+      sk.k <- Mask.iota_lt st.vl (max 0 (st.hi - st.vi));
+      src st (internal st Sink.r_vi);
+      uop st Latency.Mask_op ~dst:sk.kid
   | Extract (x, k, v) ->
-      let value = Vreg.slct_last (getk st k) (getv st v) in
-      Fv_ir.Interp.env_set st.env x value;
-      emit st (Uop.make ~dst:x ~srcs:[ k; v ] Latency.Slct_last)
+      let sk = kslot st k and sv = vslot st v in
+      Fv_ir.Interp.env_set st.env x (Vreg.slct_last sk.k sv.v);
+      src st sk.kid;
+      src st sv.vid;
+      uop st Latency.Slct_last ~dst:(reg_id st x)
   | Extract_index (x, k) -> (
-      match Mask.last_set (getk st k) with
+      let sk = kslot st k in
+      match Mask.last_set sk.k with
       | Some l ->
           Fv_ir.Interp.env_set st.env x (Value.Int (st.vi + l));
-          emit st (Uop.make ~dst:x ~srcs:[ k; "vi" ] Latency.Int_alu)
+          src st sk.kid;
+          src st (internal st Sink.r_vi);
+          uop st Latency.Int_alu ~dst:(reg_id st x)
       | None -> error "Extract_index %s: empty mask %s" x k)
   | Init_acc (v, x, op) -> do_init_acc st v x op
   | Fold_acc (x, op, v) -> do_fold_acc st x op v
+
+(* a mask test into reserved register [r] and the branch that reads it *)
+let test_and_branch st r (srcs : kslot list) label ~taken =
+  let t = internal st r in
+  List.iter (fun x -> src st x.kid) srcs;
+  uop st Latency.Mask_op ~dst:t;
+  src st t;
+  branch st label ~taken
 
 let rec exec_stmt (st : state) (s : vstmt) : unit =
   match s with
@@ -450,31 +524,33 @@ let rec exec_stmt (st : state) (s : vstmt) : unit =
           note st "vpl:partition"
         end;
         List.iter (exec_stmt st) body;
-        let t = getk st todo in
-        emit st (Uop.make ~dst:"_ktest" ~srcs:[ todo ] Latency.Mask_op);
-        emit st (Uop.branch ~label ~taken:(Mask.any t) ~srcs:[ "_ktest" ]);
-        continue_ := Mask.any t
+        let t = kslot st todo in
+        test_and_branch st Sink.r_ktest [ t ] label ~taken:(Mask.any t.k);
+        continue_ := Mask.any t.k
       done
   | If_any { label; k; then_; else_ } ->
-      let cond = Mask.any (getk st k) in
-      emit st (Uop.make ~dst:"_ktest" ~srcs:[ k ] Latency.Mask_op);
-      emit st (Uop.branch ~label ~taken:cond ~srcs:[ "_ktest" ]);
+      let sk = kslot st k in
+      let cond = Mask.any sk.k in
+      test_and_branch st Sink.r_ktest [ sk ] label ~taken:cond;
       List.iter (exec_stmt st) (if cond then then_ else else_)
   | Fault_check { label; kff; expected; remaining } ->
-      let mismatch = not (Mask.equal (getk st kff) (getk st expected)) in
-      emit st (Uop.make ~dst:"_kchk" ~srcs:[ kff; expected ] Latency.Mask_op);
-      emit st (Uop.branch ~label ~taken:mismatch ~srcs:[ "_kchk" ]);
+      let sf = kslot st kff and se = kslot st expected in
+      let mismatch = not (Mask.equal sf.k se.k) in
+      test_and_branch st Sink.r_kchk [ sf; se ] label ~taken:mismatch;
       if mismatch then begin
         note st "ff:fallback";
         do_fallback st (getk st remaining)
       end
   | Set_break k ->
-      let cond = Mask.any (getk st k) in
-      emit st (Uop.make ~dst:"_ktest" ~srcs:[ k ] Latency.Mask_op);
-      if cond then st.brk <- true
+      let sk = kslot st k in
+      src st sk.kid;
+      uop st Latency.Mask_op ~dst:(internal st Sink.r_ktest);
+      if Mask.any sk.k then st.brk <- true
   | Scalar_run { label; k } ->
-      emit st (Uop.branch ~label ~taken:true ~srcs:[ k ]);
-      do_fallback st (getk st k)
+      let sk = kslot st k in
+      src st sk.kid;
+      branch st label ~taken:true;
+      do_fallback st sk.k
 
 (* ------------------------------------------------------------------ *)
 (* Top-level driver                                                    *)
@@ -482,23 +558,17 @@ let rec exec_stmt (st : state) (s : vstmt) : unit =
 
 (** Run the vectorized loop to completion over [mem]/[env]. Returns
     execution statistics. Semantically equivalent to
-    [Fv_ir.Interp.run mem env vloop.source]. [~injected_trap] makes
-    injected faults on plain accesses raise instead of being absorbed —
-    set by {!Rtm_run} so they abort the enclosing transaction.
-    [~annot] receives observability annotations (fault absorptions, VPL
+    [Fv_ir.Interp.run mem env vloop.source]. [~emit] records the
+    micro-op trace into a sink. [~injected_trap] makes injected faults
+    on plain accesses raise instead of being absorbed — set by
+    {!Rtm_run} so they abort the enclosing transaction. [~annot]
+    receives observability annotations (fault absorptions, VPL
     re-partitions, FF fallbacks) as they happen. *)
-let run ?budget ?emit:trace_sink ?annot ?(injected_trap = false)
-    (vloop : vloop) (mem : Memory.t) (env : Fv_ir.Interp.env) : stats =
-  let scalar_eval e =
-    (* lo/hi are loop-invariant: evaluate with the scalar interpreter's
-       expression evaluator via a throwaway state *)
-    let st =
-      { Fv_ir.Interp.mem; env; hk = Fv_ir.Interp.no_hooks; stmt_labels = [||] }
-    in
-    Value.to_int (fst (Fv_ir.Interp.eval st 0 e))
-  in
-  let lo = scalar_eval vloop.source.lo in
-  let hi = scalar_eval vloop.source.hi in
+let run ?budget ?emit ?annot ?(injected_trap = false) (vloop : vloop)
+    (mem : Memory.t) (env : Fv_ir.Interp.env) : stats =
+  (* lo/hi are loop-invariant: evaluate with the scalar interpreter *)
+  let lo = Fv_ir.Interp.eval_int mem env vloop.source.lo in
+  let hi = Fv_ir.Interp.eval_int mem env vloop.source.hi in
   let st =
     {
       vl = vloop.vl;
@@ -509,31 +579,37 @@ let run ?budget ?emit:trace_sink ?annot ?(injected_trap = false)
       vi = lo;
       hi;
       brk = false;
-      emit = trace_sink;
+      sink = emit;
       annot;
       vloop;
       stats = fresh_stats ();
-      tmp = 0;
+      scalar_iter =
+        lazy
+          (Fv_ir.Interp.run_iteration ~hk:(Fv_ir.Interp.hooks ?emit ()) mem env
+             vloop.source);
       injected_trap;
     }
   in
   List.iter (exec_stmt st) vloop.preamble;
-  (* one shared label string for every back-edge of this run: the
-     predictor hashes the label per branch, and the trace sink
-     memoizes that hash on physical identity *)
+  (* one shared label string for every back-edge of this run, resolved
+     by the sink once *)
   let back_label = "vloop." ^ vloop.source.name in
+  let vi = internal st Sink.r_vi in
   while st.vi < hi && not st.brk do
     (* one poll per strip: cheap against the tens of interpreted vector
        statements a strip executes, and a strip is the natural unit a
        canceled run abandons at — never mid-statement *)
     Fv_parallel.Budget.check_opt budget;
     st.stats.strips <- st.stats.strips + 1;
-    emit st (Uop.make ~dst:"vi" ~srcs:[ "vi" ] Latency.Int_alu);
-    emit st (Uop.branch ~label:back_label ~taken:true ~srcs:[ "vi" ]);
+    src st vi;
+    uop st Latency.Int_alu ~dst:vi;
+    src st vi;
+    branch st back_label ~taken:true;
     List.iter (exec_stmt st) vloop.strip;
     st.vi <- st.vi + st.vl
   done;
-  emit st (Uop.branch ~label:back_label ~taken:false ~srcs:[ "vi" ]);
+  src st vi;
+  branch st back_label ~taken:false;
   List.iter (exec_stmt st) vloop.postamble;
   (* match the scalar interpreter's final induction-variable value *)
   if (not st.brk) && hi > lo then

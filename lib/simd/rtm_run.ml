@@ -13,7 +13,7 @@
 
 open Fv_vir.Inst
 module Memory = Fv_mem.Memory
-module Uop = Fv_trace.Uop
+module Sink = Fv_trace.Sink
 
 (** Rewrite first-faulting accesses into their plain (trapping)
     counterparts and drop the fault checks: inside a transaction the
@@ -102,14 +102,25 @@ let run ?budget ?emit ?annot ?(capacity_elems = 6144) ?(retries = 2)
   if tile < vloop.vl then invalid_arg "Rtm_run.run: tile smaller than VL";
   if retries < 0 then invalid_arg "Rtm_run.run: negative retries";
   let vloop = strip_ff vloop in
-  let emit_u u = match emit with Some f -> f u | None -> () in
-  let note kind = match annot with Some f -> f kind | None -> () in
-  let scalar_eval e =
-    let st = { Fv_ir.Interp.mem; env; hk = Fv_ir.Interp.no_hooks; stmt_labels = [||] } in
-    Fv_isa.Value.to_int (fst (Fv_ir.Interp.eval st 0 e))
+  (* the XBEGIN / XEND / XABORT chain through reserved register rtm *)
+  let rtm_uop cls ~reads ~writes =
+    match emit with
+    | Some s ->
+        let r = Sink.internal s Sink.r_rtm in
+        if reads then Sink.src s r;
+        Sink.uop s cls ~dst:(if writes then r else -1)
+    | None -> ()
   in
-  let lo = scalar_eval vloop.source.lo in
-  let hi = scalar_eval vloop.source.hi in
+  let note kind = match annot with Some f -> f kind | None -> () in
+  let lo = Fv_ir.Interp.eval_int mem env vloop.source.lo in
+  let hi = Fv_ir.Interp.eval_int mem env vloop.source.hi in
+  (* the scalar interpreter over the source loop, set up once per run:
+     the scalar tiles call it once per iteration *)
+  let scalar_iter =
+    lazy
+      (Fv_ir.Interp.run_iteration ~hk:(Fv_ir.Interp.hooks ?emit ()) mem env
+         vloop.source)
+  in
   let total = Exec.fresh_stats () in
   let tiles = ref 0 and commits = ref 0 and aborts = ref 0 in
   let capacity_aborts = ref 0 and retry_count = ref 0 in
@@ -130,15 +141,11 @@ let run ?budget ?emit ?annot ?(capacity_elems = 6144) ?(retries = 2)
     in
     (* scalar re-execution of the whole tile — shared abort handler *)
     let scalar_tile () =
-      let hk =
-        match emit with
-        | None -> Fv_ir.Interp.no_hooks
-        | Some f -> Fv_ir.Interp.hooks ~emit:f ()
-      in
+      let scalar_iter = Lazy.force scalar_iter in
       for i = !t0 to th - 1 do
         if not !broke then begin
           incr scalar_iters;
-          match Fv_ir.Interp.run_iteration ~hk mem env vloop.source i with
+          match scalar_iter i with
           | `Ok -> ()
           | `Break -> broke := true
         end
@@ -150,7 +157,7 @@ let run ?budget ?emit ?annot ?(capacity_elems = 6144) ?(retries = 2)
     let rec attempt n =
       let ck = Fv_rtm.Rtm.checkpoint mem env in
       let l0 = mem.Memory.loads and s0 = mem.Memory.stores in
-      emit_u (Uop.make ~dst:"_rtm" Fv_isa.Latency.Xbegin);
+      rtm_uop Fv_isa.Latency.Xbegin ~reads:false ~writes:true;
       match Exec.run ?emit ?annot ~injected_trap:true tile_loop mem env with
       | stats
         when mem.Memory.loads - l0 + (mem.Memory.stores - s0) > capacity_elems
@@ -160,20 +167,20 @@ let run ?budget ?emit ?annot ?(capacity_elems = 6144) ?(retries = 2)
              region may cause transactions to abort more frequently due
              to resource overflow", §3.3.2) *)
           ignore stats;
-          emit_u (Uop.make ~dst:"_rtm" ~srcs:[ "_rtm" ] Fv_isa.Latency.Xabort);
+          rtm_uop Fv_isa.Latency.Xabort ~reads:true ~writes:true;
           note "rtm:abort:capacity";
           incr aborts;
           incr capacity_aborts;
           Fv_rtm.Rtm.rollback ck;
           scalar_tile ()
       | stats ->
-          emit_u (Uop.make ~srcs:[ "_rtm" ] Fv_isa.Latency.Xend);
+          rtm_uop Fv_isa.Latency.Xend ~reads:true ~writes:false;
           incr commits;
           if n > 0 then incr retried_commits;
           acc_stats total stats;
           if stats.Exec.broke then broke := true
       | exception Memory.Fault f ->
-          emit_u (Uop.make ~dst:"_rtm" ~srcs:[ "_rtm" ] Fv_isa.Latency.Xabort);
+          rtm_uop Fv_isa.Latency.Xabort ~reads:true ~writes:true;
           note "rtm:abort";
           incr aborts;
           (* footprint accumulated before the fault: a tile that blew

@@ -1,16 +1,19 @@
-(** Dynamic micro-ops.
+(** Dynamic micro-ops, as records.
 
     Both the scalar interpreter ([fv_ir]) and the vector ISA emulator
-    ([fv_simd]) emit a stream of micro-ops as they execute; the
+    ([fv_simd]) produce a stream of micro-ops as they execute; the
     trace-driven out-of-order pipeline model ([fv_ooo]) replays that
     stream against the Table 1 machine. This mirrors the paper's
     methodology (LIT traces fed to a cycle-accurate model, §5), with our
     IR/VIR programs standing in for x86 binaries.
 
-    Register dependences are by logical register name; the pipeline does
-    renaming by tracking the last writer of each name. Memory ops carry
-    element addresses for the cache model and for store-to-load
-    forwarding. *)
+    The emulators record into {!Sink} by register id and never build
+    this record. It is the name-level form of one uop: what
+    {!Sink.push} takes (tests, cold callers) and {!Sink.to_array} gives
+    back (timelines, trace dumps). Register dependences are by logical
+    register; the pipeline does renaming by tracking the last writer of
+    each register. Memory ops carry element addresses for the cache
+    model and for store-to-load forwarding. *)
 
 open Fv_isa
 

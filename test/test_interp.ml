@@ -104,7 +104,7 @@ let test_uop_trace_counts () =
     B.(loop ~name:"tr" ~index:"i" ~hi:(int 8))
       B.[ store "b" (var "i") (load "a" (var "i") + int 1) ]
   in
-  let hk = Interp.hooks ~emit:(Fv_trace.Sink.push sink) () in
+  let hk = Interp.hooks ~emit:sink () in
   ignore (Interp.run ~hk mem e l);
   Alcotest.(check int) "loads" 8 (Fv_trace.Sink.count_class sink Latency.Load);
   Alcotest.(check int) "stores" 8 (Fv_trace.Sink.count_class sink Latency.Store);

@@ -44,7 +44,7 @@ let check_modes ?cfg ?max_cycles ~msg (sink : Sink.t) : Pipeline.stats =
 
 let trace_kernel (spec : R.spec) strategy : Sink.t =
   let sink = Sink.create ~capacity:4096 () in
-  let emit u = Sink.push sink u in
+  let emit = sink in
   let b = spec.build 42 in
   let m = Fv_mem.Memory.clone b.K.mem in
   let e = Fv_ir.Interp.env_of_list b.K.env in

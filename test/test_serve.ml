@@ -737,7 +737,7 @@ let slow_case ~trip : Gen.case =
 let test_row_timeout_any_domain_count () =
   Server.reset_shutdown ();
   let row_timeout = 0.005 in
-  let line = Loadgen.simulate_request_line ~id:"slow" (slow_case ~trip:5_000) in
+  let line = Loadgen.simulate_request_line ~id:"slow" (slow_case ~trip:20_000) in
   let t0 = Fv_obs.Clock.now () in
   let direct = Service.handle (fresh_cfg ()) line in
   let cost = Fv_obs.Clock.elapsed ~since:t0 in

@@ -33,7 +33,7 @@ let counter name =
    {!Fv_core.Experiment.plan_for}) *)
 let trace_kernel ?plan (spec : R.spec) strategy : Sink.t =
   let sink = Sink.create ~capacity:4096 () in
-  let emit u = Sink.push sink u in
+  let emit = sink in
   let b = spec.build 42 in
   let m = Fv_mem.Memory.clone b.K.mem in
   let e = Fv_ir.Interp.env_of_list b.K.env in
