@@ -63,8 +63,8 @@ type state = {
   hk : hooks;
   sink : Sink.t option;  (** [hk.emit] *)
   mutable reg : int;
-      (** trace register holding the value {!eval} last returned; only
-          meaningful with a sink *)
+      (** trace register holding the value {!eval} last returned (-1: a
+          constant); only meaningful with a sink *)
   mutable stmt_lbl : int array;
       (** label ids of ["s<id>"] branch labels, indexed by statement
           id (-1: not yet resolved); an [If] executes once per
@@ -99,6 +99,10 @@ let mul_class a b =
    else temporary [p] *)
 let dst_or_slot s dst p = if dst >= 0 then dst else Sink.internal s (Sink.scalar_tmp p)
 
+(* read operand register [r]; a constant operand (-1) reads the
+   reserved never-written register, resolved only once a uop reads it *)
+let src s r = Sink.src s (if r >= 0 then r else Sink.internal s Sink.r_const)
+
 (** Evaluate an expression at stack depth [p]; returns its value and,
     with a sink attached, leaves the trace register holding it in
     [st.reg]. Temporaries live on an expression stack: a [Load]'s index
@@ -117,13 +121,9 @@ let rec eval (st : state) p dst (e : expr) : Value.t =
   match e with
   | Const v ->
       (match st.sink with
-      | None -> ()
-      | Some s ->
-          if dst < 0 then st.reg <- Sink.internal s Sink.r_const
-          else begin
-            Sink.uop s Latency.Int_alu ~dst;
-            st.reg <- dst
-          end);
+      | Some s when dst >= 0 -> Sink.uop s Latency.Int_alu ~dst
+      | _ -> ());
+      st.reg <- dst;
       v
   | Var x ->
       let v = env_get st.env x in
@@ -147,7 +147,7 @@ let rec eval (st : state) p dst (e : expr) : Value.t =
       | None -> ()
       | Some s ->
           let d = dst_or_slot s dst p in
-          Sink.src s st.reg;
+          src s st.reg;
           Sink.mem_uop s Latency.Load ~dst:d ~addr ~nelems:1;
           st.reg <- d);
       v
@@ -168,8 +168,8 @@ let rec eval (st : state) p dst (e : expr) : Value.t =
             | _ -> alu_class av bv
           in
           let d = dst_or_slot s dst p in
-          Sink.src s ar;
-          Sink.src s st.reg;
+          src s ar;
+          src s st.reg;
           Sink.uop s cls ~dst:d;
           st.reg <- d);
       v
@@ -182,8 +182,8 @@ let rec eval (st : state) p dst (e : expr) : Value.t =
       | None -> ()
       | Some s ->
           let d = dst_or_slot s dst p in
-          Sink.src s ar;
-          Sink.src s st.reg;
+          src s ar;
+          src s st.reg;
           Sink.uop s (alu_class av bv) ~dst:d;
           st.reg <- d);
       v
@@ -194,7 +194,7 @@ let rec eval (st : state) p dst (e : expr) : Value.t =
       | None -> ()
       | Some s ->
           let d = dst_or_slot s dst p in
-          Sink.src s st.reg;
+          src s st.reg;
           Sink.uop s (alu_class av av) ~dst:d;
           st.reg <- d);
       v
@@ -218,8 +218,8 @@ let rec exec_stmt (st : state) (s : stmt) : unit =
       (match st.sink with
       | None -> ()
       | Some sk ->
-          Sink.src sk ir;
-          Sink.src sk st.reg;
+          src sk ir;
+          src sk st.reg;
           Sink.mem_uop sk Latency.Store ~dst:(-1) ~addr ~nelems:1);
       Fv_mem.Memory.store st.mem addr ev
   | Break -> raise Break_exn
@@ -230,7 +230,7 @@ let rec exec_stmt (st : state) (s : stmt) : unit =
       (match st.sink with
       | None -> ()
       | Some sk ->
-          Sink.src sk st.reg;
+          src sk st.reg;
           Sink.branch sk (stmt_label st sk s.id) ~taken);
       List.iter (exec_stmt st) (if taken then t else e)
 
