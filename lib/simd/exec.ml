@@ -90,7 +90,6 @@ let kslot st r =
       Hashtbl.replace st.kregs r x;
       x
 
-let getv st r = (vslot st r).v
 let getk st r = (kslot st r).k
 
 let atom st = function
@@ -119,15 +118,6 @@ let branch st label ~taken =
   | Some s -> Sink.branch s (Sink.label s label) ~taken
   | None -> ()
 
-(* Temporaries are slots of the instruction that uses them
-   ({!Sink.vector_tmp}): a gather's or scatter's setup uop writes slot
-   0 and the lane loads of a gather slots 1 .. vl, so the merge uop
-   reads [vl + 1] distinct registers at any vector length; a horizontal
-   reduction's shuffle chain alternates slots 0 and 1. A temporary is
-   produced and consumed inside one instruction, so reusing the slots
-   across instructions loses no dependence. They are reserved ids, so
-   no VIR register can alias them. *)
-let tmp st q = internal st (Sink.vector_tmp q)
 
 let lanes_float (k : Mask.t) (v : Vreg.t) =
   let fl = ref false in
@@ -296,8 +286,15 @@ let do_fallback st (remaining : Mask.t) =
       (vslot st v).v <- Vreg.broadcast st.vl (Fv_ir.Interp.env_get st.env x))
     sync.uniforms
 
-(* a gather's trace: the setup uop, one load per touched lane, and the
-   merge into [sv] reading the setup and every lane *)
+(* A gather's trace: the setup uop, one load per touched lane, and the
+   merge into [sv] reading the setup and every lane. Temporaries are
+   slots of the instruction that uses them ({!Sink.vector_tmp}): the
+   setup writes slot 0 (so does a scatter's) and the lane loads slots
+   1 .. vl, so the merge reads [vl + 1] distinct registers at any vector
+   length; a horizontal reduction's shuffle chain alternates slots 0 and
+   1. A temporary is produced and consumed inside one instruction, so
+   reusing the slots across instructions loses no dependence. They are
+   reserved ids, so no VIR register can alias them. *)
 let gather_uops st cls (sk : kslot) (sidx : vslot) (sv : vslot) addrs =
   match st.sink with
   | None -> ()
@@ -399,7 +396,7 @@ let exec_inst (st : state) (i : vinst) : unit =
       let sk = kslot st k and sidx = vslot st idx and sv = vslot st v in
       let km = sk.k and iv = sidx.v and vv = sv.v in
       let base = Memory.base_of st.mem arr in
-      let setup = tmp st 0 in
+      let setup = internal st (Sink.vector_tmp 0) in
       src st sk.kid;
       src st sidx.vid;
       src st sv.vid;
