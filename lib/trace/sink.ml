@@ -18,8 +18,8 @@
     - {!reg} resolves a program name (an AST variable, a VIR register).
       A direct-mapped cache probed by physical equality sits in front
       of the name table: the emulators pass the program's own strings,
-      so a probe is a pointer comparison and the table is reached once
-      per name.
+      so a probe is a pointer comparison, and the table is reached
+      about once per name.
     - {!internal} resolves an emulator's own register (the reserved
       keys below: temporaries, the vector induction register, mask
       tests, the RTM and invocation-gap chains) through an int-indexed

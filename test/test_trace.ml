@@ -67,10 +67,10 @@ let test_deep_chain_exact () =
   Alcotest.(check bool) "not truncated" false s.truncated
 
 (* A gather's merge uop reads its setup register and one temporary
-   per lane. At vector lengths past the old 64-name pool the lanes must
-   still be distinct registers, or the merge loses dependences. These
-   kernels each run gathers with at least 64 lanes enabled at both
-   lengths. *)
+   per lane, [vl + 1] registers that must all be distinct or the merge
+   loses dependences; a cyclic pool of 64 names aliases them from vl 64
+   on. These kernels each run gathers with at least 64 lanes enabled at
+   both lengths. *)
 let test_gather_lanes_distinct () =
   List.iter
     (fun vl ->
