@@ -118,7 +118,6 @@ let branch st label ~taken =
   | Some s -> Sink.branch s (Sink.label s label) ~taken
   | None -> ()
 
-
 let lanes_float (k : Mask.t) (v : Vreg.t) =
   let fl = ref false in
   for i = 0 to Vreg.length v - 1 do
