@@ -25,8 +25,6 @@
    Run a subset with:   bench/main.exe table2 figure8
    Options (validated up front, before anything runs):
      --domains N    worker domains for the parallel sections
-     --mode M       pipeline scheduler: event (default) or step; the
-                    two produce identical statistics
      --json FILE    write a combined JSON report of every section run
      --fault-rate R inject faults with per-access probability R into
                     the recovery-capable strategies (default 0 = off)
@@ -134,7 +132,7 @@ let table1 (_ : Harness.plan) (_ : bar) =
 let figure8 (plan : Harness.plan) (bar : bar) =
   section "figure8: application speedup over the AVX-512 baseline";
   let r =
-    Figure8.run ~mode:plan.Harness.mode ?domains:plan.Harness.domains
+    Figure8.run ?domains:plan.Harness.domains
       ?faults:(Harness.fault_plan plan) ~rtm_retries:plan.Harness.rtm_retries
       ?timeout_s:plan.Harness.row_timeout ()
   in
@@ -232,7 +230,7 @@ let table2 (plan : Harness.plan) (_ : bar) =
 let rtm_sweep (plan : Harness.plan) (_ : bar) =
   section "rtm-sweep: transactional-speculation tile size (paper: 128-256 within 1-2% of FF)";
   let pts =
-    Sweeps.rtm_tile_sweep ~mode:plan.Harness.mode ?domains:plan.Harness.domains
+    Sweeps.rtm_tile_sweep ?domains:plan.Harness.domains
       ?faults:(Harness.fault_plan plan) ~rtm_retries:plan.Harness.rtm_retries ()
   in
   let rows =
@@ -252,13 +250,13 @@ let rtm_sweep (plan : Harness.plan) (_ : bar) =
   [ ("rows", J.List (List.map J.of_rtm_point pts)) ]
 
 let strategy_sweep (plan : Harness.plan) (_ : bar) =
-  let domains = plan.Harness.domains and mode = plan.Harness.mode in
+  let domains = plan.Harness.domains in
   section "strategy-sweep: FlexVec vs PACT'13 wholesale speculation";
   let per_pattern =
     List.map
       (fun (label, pattern) ->
         Printf.printf "\n-- %s pattern --\n" label;
-        let pts = Sweeps.strategy_sweep ~mode ?domains ~pattern () in
+        let pts = Sweeps.strategy_sweep ?domains ~pattern () in
         let rows =
           [ "Dep rate"; "FlexVec speedup"; "Wholesale speedup" ]
           :: List.map
@@ -277,9 +275,9 @@ let strategy_sweep (plan : Harness.plan) (_ : bar) =
   [ ("patterns", J.Obj per_pattern) ]
 
 let trip_sweep (plan : Harness.plan) (_ : bar) =
-  let domains = plan.Harness.domains and mode = plan.Harness.mode in
+  let domains = plan.Harness.domains in
   section "trip-sweep: speedup vs loop trip count (paper: gains need high trip counts)";
-  let pts = Sweeps.trip_sweep ~mode ?domains () in
+  let pts = Sweeps.trip_sweep ?domains () in
   let rows =
     [ "Trip count"; "FlexVec hot speedup" ]
     :: List.map
@@ -291,9 +289,9 @@ let trip_sweep (plan : Harness.plan) (_ : bar) =
   [ ("rows", J.List (List.map J.of_trip_point pts)) ]
 
 let evl_sweep (plan : Harness.plan) (_ : bar) =
-  let domains = plan.Harness.domains and mode = plan.Harness.mode in
+  let domains = plan.Harness.domains in
   section "evl-sweep: speedup vs effective vector length";
-  let pts = Sweeps.evl_sweep ~mode ?domains () in
+  let pts = Sweeps.evl_sweep ?domains () in
   let rows =
     [ "Update rate"; "Effective VL"; "FlexVec hot speedup" ]
     :: List.map
@@ -309,9 +307,9 @@ let evl_sweep (plan : Harness.plan) (_ : bar) =
   [ ("rows", J.List (List.map J.of_evl_point pts)) ]
 
 let vl_sweep (plan : Harness.plan) (_ : bar) =
-  let domains = plan.Harness.domains and mode = plan.Harness.mode in
+  let domains = plan.Harness.domains in
   section "vl-sweep: ablation over hardware vector length";
-  let pts = Sweeps.vl_sweep ~mode ?domains () in
+  let pts = Sweeps.vl_sweep ?domains () in
   let rows =
     [ "VL (lanes)"; "FlexVec hot speedup" ]
     :: List.map
@@ -325,8 +323,8 @@ let vl_sweep (plan : Harness.plan) (_ : bar) =
 let strategies (plan : Harness.plan) (_ : bar) =
   section "strategies: Figure 8 under each speculation mechanism";
   let pts =
-    Sweeps.benchmark_strategies ~mode:plan.Harness.mode
-      ?domains:plan.Harness.domains ?faults:(Harness.fault_plan plan)
+    Sweeps.benchmark_strategies ?domains:plan.Harness.domains
+      ?faults:(Harness.fault_plan plan)
       ~rtm_retries:plan.Harness.rtm_retries ()
   in
   let rows =
@@ -360,9 +358,9 @@ let strategies (plan : Harness.plan) (_ : bar) =
   ]
 
 let prefetch_ablation (plan : Harness.plan) (_ : bar) =
-  let domains = plan.Harness.domains and mode = plan.Harness.mode in
+  let domains = plan.Harness.domains in
   section "prefetch-ablation: the memory subsystem matters for vector access (§5)";
-  let pts = Sweeps.prefetch_ablation ~mode ?domains () in
+  let pts = Sweeps.prefetch_ablation ?domains () in
   let rows =
     [ "Prefetcher"; "Scalar cycles"; "FlexVec cycles"; "Speedup" ]
     :: List.map
@@ -440,8 +438,8 @@ let fault_sweep (plan : Harness.plan) (_ : bar) =
 
 let auto_bench (plan : Harness.plan) (bar : bar) =
   section "auto: profile-guided strategy selection vs the oracle";
-  let domains = plan.Harness.domains and mode = plan.Harness.mode in
-  let rows = Autobench.kernel_rows ~mode ?domains () in
+  let domains = plan.Harness.domains in
+  let rows = Autobench.kernel_rows ?domains () in
   let table_rows =
     [ "Benchmark"; "Chosen"; "Predicted"; "Actual"; "Oracle"; "Oracle cyc";
       "Regret"; "Auto spd"; "Oracle spd" ]
@@ -467,7 +465,7 @@ let auto_bench (plan : Harness.plan) (bar : bar) =
   Printf.printf
     "\ngeomean speedup: auto %.3fx | oracle %.3fx | ratio %.3f (bar: >= %g)\n"
     auto_g oracle_g ratio min_ratio;
-  let sweeps = Autobench.sweep_rows ~mode ?domains () in
+  let sweeps = Autobench.sweep_rows ?domains () in
   let sweep_table =
     [ "Sweep"; "Point"; "Chosen"; "Regret" ]
     :: List.map
@@ -1557,7 +1555,7 @@ let () =
             in
             metrics_bars bar metrics;
             let j =
-              J.report ~section:name ~domains:domains_used ~mode:plan.mode
+              J.report ~section:name ~domains:domains_used
                 ~fault_rate:plan.fault_rate ~fault_seed:plan.fault_seed
                 ~rtm_retries:plan.rtm_retries ?row_timeout:plan.row_timeout
                 ~metrics ~wall_seconds:wall body
@@ -1580,13 +1578,7 @@ let () =
           J.to_file path
             (J.Obj
                [
-                 ("schema_version", J.Int 10);
                  ("domains", J.Int domains_used);
-                 ( "mode",
-                   J.Str
-                     (match plan.mode with
-                     | `Event -> "event"
-                     | `Step -> "step") );
                  ("sections", J.List reports);
                ]))
         plan.json;

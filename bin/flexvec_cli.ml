@@ -586,7 +586,6 @@ let serve_cmd =
             in
             J.to_file path
               (J.report ~section:"serve" ~domains:(domains_used domains)
-                 ~mode:`Event
                  ~metrics:(Fv_obs.Metrics.snapshot Fv_obs.Metrics.global)
                  ~wall_seconds:wall
                  [

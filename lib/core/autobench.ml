@@ -40,10 +40,9 @@ let regret ~(auto_cycles : float) ~(oracle_cycles : float) : float =
   auto_cycles /. Float.max 1.0 oracle_cycles
 
 (* score one kernel: all arms (the oracle) + the Auto run *)
-let kernel_row ?(vl = 16) ?(seed = 42) ?(mode : Fv_ooo.Pipeline.mode = `Event)
-    (spec : R.spec) : row =
+let kernel_row ?(vl = 16) ?(seed = 42) (spec : R.spec) : row =
   let arm_run arm =
-    Experiment.run_workload ~vl ~mode ~invocations:spec.R.invocations ~seed
+    Experiment.run_workload ~vl ~invocations:spec.R.invocations ~seed
       (Experiment.strategy_of_choice arm)
       spec.R.build
   in
@@ -64,7 +63,7 @@ let kernel_row ?(vl = 16) ?(seed = 42) ?(mode : Fv_ooo.Pipeline.mode = `Event)
       M.arms
   in
   let auto =
-    Experiment.run_workload ~vl ~mode ~invocations:spec.R.invocations ~seed
+    Experiment.run_workload ~vl ~invocations:spec.R.invocations ~seed
       Experiment.Auto spec.R.build
   in
   let pick =
@@ -100,9 +99,8 @@ let kernel_row ?(vl = 16) ?(seed = 42) ?(mode : Fv_ooo.Pipeline.mode = `Event)
 
 (** Score every registry kernel; [domains] parallelizes across kernels.
     Rows that fail (they never should) are dropped. *)
-let kernel_rows ?(vl = 16) ?(seed = 42)
-    ?(mode : Fv_ooo.Pipeline.mode = `Event) ?(domains = 1) () : row list =
-  Fv_parallel.Pool.map ~domains (kernel_row ~vl ~seed ~mode) R.all
+let kernel_rows ?(vl = 16) ?(seed = 42) ?(domains = 1) () : row list =
+  Fv_parallel.Pool.map ~domains (kernel_row ~vl ~seed) R.all
   |> List.filter_map (function Ok r -> Some r | Error _ -> None)
 
 (** Geomean of Auto's and the oracle's per-kernel speedups, and their
@@ -127,12 +125,11 @@ type sweep_row = {
 
 (* score one tunable configuration: every arm and Auto each get a
    freshly built (same-seed) kernel, since runs mutate memory *)
-let sweep_row ~(sweep : string) ~(label : string) ?(vl = 16)
-    ?(mode : Fv_ooo.Pipeline.mode = `Event) ?faults ?(rtm_retries = 2)
-    (build : int -> K.built) : sweep_row =
+let sweep_row ~(sweep : string) ~(label : string) ?(vl = 16) ?faults
+    ?(rtm_retries = 2) (build : int -> K.built) : sweep_row =
   let run strategy =
     let b = build 7 in
-    Experiment.run_hot ~vl ~mode ?faults ~rtm_retries strategy b.K.loop
+    Experiment.run_hot ~vl ?faults ~rtm_retries strategy b.K.loop
       b.K.mem b.K.env
   in
   let arm_cycles =
@@ -158,22 +155,17 @@ let sweep_row ~(sweep : string) ~(label : string) ?(vl = 16)
     fault rates (faults perturb the measured arms but not the profile,
     so the decision must be stable across them). *)
 let sweep_rows ?(trips = [ 32; 128; 512; 2048; 8192 ]) ?(vls = [ 4; 8; 16 ])
-    ?(fault_rates = [ 0.0; 0.008; 0.03 ])
-    ?(mode : Fv_ooo.Pipeline.mode = `Event) ?(domains = 1) () :
-    sweep_row list =
+    ?(fault_rates = [ 0.0; 0.008; 0.03 ]) ?(domains = 1) () : sweep_row list =
   let cond ~trip = Sweeps.tunable_cond_update ~trip ~update_rate:0.05 ~near_rate:0.0 in
   let jobs =
     List.map
       (fun trip () ->
-        sweep_row ~sweep:"trip"
-          ~label:(Printf.sprintf "trip=%d" trip)
-          ~mode (cond ~trip))
+        sweep_row ~sweep:"trip" ~label:(Printf.sprintf "trip=%d" trip) (cond ~trip))
       trips
     @ List.map
         (fun vl () ->
-          sweep_row ~sweep:"vl"
-            ~label:(Printf.sprintf "vl=%d" vl)
-            ~vl ~mode (cond ~trip:2048))
+          sweep_row ~sweep:"vl" ~label:(Printf.sprintf "vl=%d" vl) ~vl
+            (cond ~trip:2048))
         vls
     @ List.map
         (fun rate () ->
@@ -183,7 +175,7 @@ let sweep_rows ?(trips = [ 32; 128; 512; 2048; 8192 ]) ?(vls = [ 4; 8; 16 ])
           in
           sweep_row ~sweep:"fault"
             ~label:(Printf.sprintf "fault=%g" rate)
-            ~mode ?faults (cond ~trip:2048))
+            ?faults (cond ~trip:2048))
         fault_rates
   in
   Fv_parallel.Pool.map ~domains (fun job -> job ()) jobs

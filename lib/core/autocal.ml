@@ -34,14 +34,13 @@ let features_of ?(vl = 16) (spec : R.spec) ~(seed : int) : Fv_auto.Features.t =
 (** Measure every (kernel, arm) pair. [domains] parallelizes across
     kernels exactly like the bench sections; rows that fail (they never
     should — strategies degrade rather than raise) are dropped. *)
-let measure ?(vl = 16) ?(seed = 42) ?(mode : Fv_ooo.Pipeline.mode = `Event)
-    ?(domains = 1) () : measurement list =
+let measure ?(vl = 16) ?(seed = 42) ?(domains = 1) () : measurement list =
   let per_spec (spec : R.spec) : measurement list =
     let f = features_of ~vl spec ~seed in
     List.map
       (fun arm ->
         let run =
-          Experiment.run_workload ~vl ~mode ~invocations:spec.R.invocations
+          Experiment.run_workload ~vl ~invocations:spec.R.invocations
             ~seed
             (Experiment.strategy_of_choice arm)
             spec.R.build

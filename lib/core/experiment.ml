@@ -5,7 +5,15 @@
     Table 1 OOO machine → hot-region speedup → Amdahl-scale by coverage
     into an overall application speedup, exactly as §5 describes
     ("hot region speedups are then scaled down based on their
-    contribution to total program execution"). *)
+    contribution to total program execution").
+
+    One runner does the per-workload part of that method for both
+    entry points, {!run_workload} (a seeded kernel builder, many
+    invocations) and {!run_hot} (one loop, one invocation): compile
+    once, gate the code against the scalar reference with the executor
+    it will be traced through, walk the degradation ladder on a
+    rejection, trace every invocation, and replay the whole trace once
+    through {!Fv_ooo.Simcache} on the event-driven scheduler. *)
 
 open Fv_isa
 module Memory = Fv_mem.Memory
@@ -118,7 +126,9 @@ type hot_run = {
   cycles : int;
   uops : int;
   pipe : Pipeline.stats;
-  exec : Fv_simd.Exec.stats option;  (** vector-execution stats, if vectorized *)
+  exec : Fv_simd.Exec.stats option;
+      (** vector-execution stats summed over the invocations, if the run
+          executed vector code *)
   mix : Fv_vir.Count.mix option;
   fell_back_to_scalar : bool;
       (** a vectorizing strategy could not vectorize (or failed its
@@ -155,18 +165,18 @@ let plan_for (faults : Fv_faults.Plan.t option) (s : strategy) :
 
 (* roll a finished run into the global metrics registry; counters only,
    so aggregation across any domain split is deterministic *)
-let note_run_metrics (r : 'a) ~compile ~strategy ~fell_back ~injected ~exec
-    ~rtm =
+let note_run_metrics (r : hot_run) : hot_run =
   let m = Fv_obs.Metrics.global in
   Fv_obs.Metrics.incr m "runs"
     ~labels:
       [
-        ("strategy", show_strategy strategy);
-        ("compile", show_compile_status compile);
+        ("strategy", show_strategy r.strategy);
+        ("compile", show_compile_status r.compile);
       ];
-  if fell_back then Fv_obs.Metrics.incr m "fallback_runs";
-  if injected > 0 then Fv_obs.Metrics.incr m ~by:injected "injected_faults";
-  (match exec with
+  if r.fell_back_to_scalar then Fv_obs.Metrics.incr m "fallback_runs";
+  if r.injected_faults > 0 then
+    Fv_obs.Metrics.incr m ~by:r.injected_faults "injected_faults";
+  (match r.exec with
   | Some e ->
       let open Fv_simd.Exec in
       if e.fallbacks > 0 then
@@ -174,7 +184,7 @@ let note_run_metrics (r : 'a) ~compile ~strategy ~fell_back ~injected ~exec
       if e.vpl_extra > 0 then
         Fv_obs.Metrics.incr m ~by:e.vpl_extra "vpl_extra_partitions"
   | None -> ());
-  (match rtm with
+  (match r.rtm with
   | Some t ->
       let open Fv_simd.Rtm_run in
       if t.aborts > 0 then Fv_obs.Metrics.incr m ~by:t.aborts "rtm_aborts";
@@ -235,185 +245,6 @@ let auto_pick ?budget ?(vl = 16) ?(invocations = 1) (l : Fv_ir.Ast.loop)
   Fv_parallel.Budget.check_opt budget;
   pick_of ~vl ~profile ~verdict
 
-(** Trace one strategy's execution of the hot loop and replay it on the
-    OOO model. Always verifies against the scalar oracle first. [mode]
-    selects the pipeline scheduler (event-driven by default; the two
-    produce identical statistics). *)
-let rec run_hot ?budget ?(vl = 16) ?(mode : Pipeline.mode = `Event)
-    ?(faults : Fv_faults.Plan.t option) ?(rtm_retries = 2)
-    ?(obs : run_obs option) (strategy : strategy) (l : Fv_ir.Ast.loop)
-    (mem : Memory.t) (env : (string * Value.t) list) : hot_run =
-  match strategy with
-  | Auto ->
-      (* profile the warmup slice, commit to the predicted winner, and
-         run it; the result keeps [Auto] as its strategy and carries the
-         decision record (the delegated run already rolled its metrics
-         under the concrete strategy) *)
-      let pick = auto_pick ?budget ~vl l mem env in
-      let r =
-        run_hot ?budget ~vl ~mode ?faults ~rtm_retries ?obs pick.a_chosen l
-          mem env
-      in
-      { r with strategy = Auto; auto = Some pick }
-  | _ ->
-  let sink = Fv_trace.Sink.create () in
-  (* annotations are pinned to the trace position current at the moment
-     the emulator reports the event *)
-  let annot =
-    Option.map
-      (fun o kind ->
-        Fv_obs.Annot.mark o.o_annots ~pos:(Fv_trace.Sink.length sink) kind)
-      obs
-  in
-  let plan = plan_for faults strategy in
-  let injected = ref 0 and rtm_stats = ref None in
-  (* traced-run memory: plan attached when the strategy opted in *)
-  let traced_mem () =
-    let m = Memory.clone mem in
-    Memory.set_fault_plan m plan;
-    m
-  in
-  let note_injected (m : Memory.t) =
-    injected := !injected + m.Memory.injected_faults
-  in
-  let compile = ref Not_compiled in
-  let scalar_trace ?(fallback = true) ?error () =
-    (* the scalar interpreter is not budget-threaded; poll before
-       entering it so a blown budget cancels at the seam *)
-    Fv_parallel.Budget.check_opt budget;
-    let m = Memory.clone mem and e = Interp.env_of_list env in
-    let hk = Interp.hooks ~emit:sink () in
-    ignore (Interp.run ~hk m e l);
-    (None, None, fallback, error)
-  in
-  (* oracle gate for a traditionally vectorized fallback: same
-     scalar-equivalence requirement as {!Oracle.check}, but against the
-     vloop in hand rather than a fresh FlexVec compile *)
-  let traditional_passes vloop =
-    let ms = Memory.clone mem and es = Interp.env_of_list env in
-    ignore (Interp.run ms es l);
-    let mv = Memory.clone mem and ev = Interp.env_of_list env in
-    match Fv_simd.Exec.run vloop mv ev with
-    | exception _ -> false
-    | _ ->
-        Oracle.compare_memories ms mv = Ok ()
-        && Oracle.compare_env l es ev = Ok ()
-  in
-  (* the degradation ladder: a rejected FlexVec-style compile retries
-     with the traditional vectorizer before surrendering to scalar *)
-  let degrade (d : Fv_ir.Validate.diagnostic) =
-    match Fv_vectorizer.Traditional.vectorize ?budget ~vl l with
-    | Ok vloop when traditional_passes vloop ->
-        compile := Degraded_traditional d;
-        let m = Memory.clone mem and e = Interp.env_of_list env in
-        let stats = Fv_simd.Exec.run ?budget ?annot ~emit:sink vloop m e in
-        (Some stats, Some (Fv_vir.Count.of_vloop vloop), false, None)
-    | Ok _ | Error _ ->
-        compile := Degraded_scalar d;
-        scalar_trace ()
-  in
-  let exec, mix, fell_back, oracle_error =
-    match strategy with
-    | Scalar -> scalar_trace ~fallback:false ()
-    | Traditional -> (
-        match Fv_vectorizer.Traditional.vectorize ?budget ~vl l with
-        | Error d ->
-            compile := Degraded_scalar d;
-            scalar_trace ()
-        | Ok vloop ->
-            compile := Vectorized;
-            let m = Memory.clone mem and e = Interp.env_of_list env in
-            let stats = Fv_simd.Exec.run ?budget ?annot ~emit:sink vloop m e in
-            (Some stats, Some (Fv_vir.Count.of_vloop vloop), false, None))
-    | Flexvec | Wholesale -> (
-        let style = Option.get (style_of strategy) in
-        match Fv_vectorizer.Gen.vectorize ?budget ~vl ~style l with
-        | Error d -> degrade d
-        | Ok vloop -> (
-            Fv_parallel.Budget.check_opt budget;
-            (* correctness gate: the vector program must match the
-               oracle (injection-free — injected-fault equivalence is
-               {!Oracle.check_under_faults}' job); on a mismatch the run
-               degrades to the measured scalar path and records the
-               failure *)
-            match Oracle.check ~vl ~style l (Memory.clone mem) env with
-            | Error f ->
-                let msg =
-                  Fmt.str "experiment on %s: oracle failed: %a"
-                    l.Fv_ir.Ast.name Oracle.pp_failure f
-                in
-                compile :=
-                  Degraded_scalar (Fv_ir.Validate.internal_error msg);
-                scalar_trace ~error:msg ()
-            | Ok _ ->
-                compile := Vectorized;
-                let m = traced_mem () and e = Interp.env_of_list env in
-                let stats = Fv_simd.Exec.run ?budget ?annot ~emit:sink vloop m e in
-                note_injected m;
-                (Some stats, Some (Fv_vir.Count.of_vloop vloop), false, None)))
-    | Rtm tile -> (
-        match Fv_vectorizer.Gen.vectorize ?budget ~vl l with
-        | Error d -> degrade d
-        | Ok vloop -> (
-            Fv_parallel.Budget.check_opt budget;
-            (* RTM oracle: run scalar and transactional versions and
-               compare final state *)
-            let ms = Memory.clone mem and es = Interp.env_of_list env in
-            ignore (Interp.run ms es l);
-            let mr = Memory.clone mem and er = Interp.env_of_list env in
-            ignore (Fv_simd.Rtm_run.run ~tile vloop mr er);
-            match
-              (Oracle.compare_memories ms mr, Oracle.compare_env l es er)
-            with
-            | Error e, _ | _, Error e ->
-                let msg =
-                  Fmt.str "experiment on %s (RTM): oracle failed: %s"
-                    l.Fv_ir.Ast.name e
-                in
-                compile :=
-                  Degraded_scalar (Fv_ir.Validate.internal_error msg);
-                scalar_trace ~error:msg ()
-            | Ok (), Ok () ->
-                compile := Vectorized;
-                let m = traced_mem () and e = Interp.env_of_list env in
-                let rtm =
-                  Fv_simd.Rtm_run.run ?budget ?annot ~emit:sink ~retries:rtm_retries
-                    ~tile vloop m e
-                in
-                note_injected m;
-                rtm_stats := Some rtm;
-                (Some rtm.Fv_simd.Rtm_run.exec,
-                 Some (Fv_vir.Count.of_vloop vloop), false, None)))
-    | Auto -> assert false (* dispatched above *)
-  in
-  let record = Option.map (fun o -> o.o_timing) obs in
-  (* memoized replay: the key includes the fault-plan fingerprint, so a
-     plan change can never serve a stale entry (see {!Fv_ooo.Simcache}) *)
-  let pipe =
-    Fv_obs.Span.with_ ~cat:"harness" "simulate" (fun () ->
-        Simcache.stats ?budget ?record ~mode
-          ~fault_key:(Fv_faults.Plan.fingerprint plan)
-          sink)
-  in
-  Option.iter (fun o -> o.o_trace <- Some sink) obs;
-  note_run_metrics
-    {
-      strategy;
-      cycles = pipe.Pipeline.cycles;
-      uops = pipe.Pipeline.uops;
-      pipe;
-      exec;
-      mix;
-      fell_back_to_scalar = fell_back;
-      oracle_error;
-      rtm = !rtm_stats;
-      injected_faults = !injected;
-      compile = !compile;
-      auto = None;
-    }
-    ~compile:!compile ~strategy ~fell_back ~injected:!injected ~exec
-    ~rtm:!rtm_stats
-
 (** Hot-region speedup of [s] over the scalar baseline. Total: both
     operands are clamped to at least one cycle, so a degenerate
     zero-cycle run (empty trace) yields a finite, positive ratio — two
@@ -432,225 +263,220 @@ let overall_speedup ~coverage ~hot =
   1.0 /. (1.0 -. coverage +. (coverage /. hot))
 
 (* ------------------------------------------------------------------ *)
-(* Multi-invocation workloads                                          *)
+(* The hot-loop runner                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(** Trace [invocations] runs of a seeded kernel builder under one
-    strategy and replay the concatenated trace on the OOO model, as the
-    paper's hot loops are entered many times per application run. The
-    vectorized code is generated once (from the first build); each
-    invocation gets freshly seeded data. *)
-let rec run_workload ?budget ?(vl = 16) ?(mode : Pipeline.mode = `Event)
-    ?(faults : Fv_faults.Plan.t option) ?(rtm_retries = 2)
-    ?(obs : run_obs option) ~(invocations : int) ~(seed : int)
-    (strategy : strategy) (build : int -> Fv_workloads.Kernels.built) :
-    hot_run =
+module K = Fv_workloads.Kernels
+
+(* What every invocation of a leg executes, once compiled and gated. *)
+type leg =
+  | Interp_leg  (** the scalar interpreter *)
+  | Exec_leg of Fv_vir.Inst.vloop  (** vector code, first-faulting *)
+  | Rtm_leg of int * Fv_vir.Inst.vloop
+      (** FlexVec code in transactional tiles of the given size *)
+
+(* One invocation of [leg] on [m]/[e]: its vector-execution and
+   transactional statistics, where the leg has them. *)
+let execute ?budget ?annot ?emit ~rtm_retries l leg m e =
+  match leg with
+  | Interp_leg ->
+      ignore (Interp.run ~hk:(Interp.hooks ?emit ()) m e l);
+      (None, None)
+  | Exec_leg v -> (Some (Fv_simd.Exec.run ?budget ?annot ?emit v m e), None)
+  | Rtm_leg (tile, v) ->
+      let r =
+        Fv_simd.Rtm_run.run ?budget ?annot ?emit ~retries:rtm_retries ~tile v
+          m e
+      in
+      (Some r.Fv_simd.Rtm_run.exec, Some r)
+
+(* The correctness gate: the scalar reference and [leg]'s own executor
+   (the one its invocations are traced through) run on clones of [b]'s
+   memory and environment, untraced and injection-free (injected-fault
+   equivalence is {!Oracle.check_under_faults}' job), and must agree on
+   final memory and live-outs. *)
+let gate ~rtm_retries (b : K.built) leg : (unit, string) result =
+  let l = b.K.loop in
+  let ms = Memory.clone b.K.mem and es = Interp.env_of_list b.K.env in
+  ignore (Interp.run ms es l);
+  let mv = Memory.clone b.K.mem and ev = Interp.env_of_list b.K.env in
+  match execute ~rtm_retries l leg mv ev with
+  | exception Fv_simd.Exec.Vector_exec_error e -> Error e
+  | exception Memory.Fault f ->
+      Error (Fmt.str "memory fault: %a" Memory.pp_fault f)
+  | _ ->
+      Result.bind (Oracle.compare_memories ms mv) (fun () ->
+          Oracle.compare_env l es ev)
+
+(* Compile [strategy] once, on the first build [b], and gate what it
+   produced. A rejected FlexVec-style compile walks the ladder: a
+   traditional vloop that passes the gate, else the measured scalar
+   path, recording the rejection at the rung it fell from. Code that
+   fails its gate degrades the whole run to scalar and records why, so
+   one bad workload cannot take down a parallel Figure 8 sweep.
+   [Traditional] models a plain AVX-512 compiler and is not gated. *)
+let compile_leg ?budget ~vl ~rtm_retries strategy (b : K.built) :
+    leg * compile_status * string option =
+  let l = b.K.loop in
+  let gate = gate ~rtm_retries b in
+  let traditional () = Fv_vectorizer.Traditional.vectorize ?budget ~vl l in
+  match (strategy, style_of strategy) with
+  | Traditional, _ -> (
+      match traditional () with
+      | Ok v -> (Exec_leg v, Vectorized, None)
+      | Error d -> (Interp_leg, Degraded_scalar d, None))
+  | _, None -> (Interp_leg, Not_compiled, None)
+  | _, Some style -> (
+      match Fv_vectorizer.Gen.vectorize ?budget ~vl ~style l with
+      | Error d -> (
+          match traditional () with
+          | Ok v when gate (Exec_leg v) = Ok () ->
+              (Exec_leg v, Degraded_traditional d, None)
+          | Ok _ | Error _ -> (Interp_leg, Degraded_scalar d, None))
+      | Ok v -> (
+          Fv_parallel.Budget.check_opt budget;
+          let leg =
+            match strategy with Rtm tile -> Rtm_leg (tile, v) | _ -> Exec_leg v
+          in
+          match gate leg with
+          | Ok () -> (leg, Vectorized, None)
+          | Error e ->
+              let msg =
+                Fmt.str "%s under %s: oracle failed: %s" l.Fv_ir.Ast.name
+                  (show_strategy strategy) e
+              in
+              ( Interp_leg,
+                Degraded_scalar (Fv_ir.Validate.internal_error msg),
+                Some msg )))
+
+(* The one runner behind {!run_workload} and {!run_hot}. [capacity] is
+   the sink's starting size, which stays per entry point (DESIGN.md,
+   "Two initial capacities"). *)
+let rec run ~capacity ?budget ~vl ?faults ~rtm_retries ?obs ~invocations
+    ~seed strategy (build : int -> K.built) : hot_run =
   match strategy with
   | Auto ->
       (* the warmup slice: profile the first build (scaled to the full
          invocation count, as the profiler's one-interpretation scaling
-         makes that free), commit, delegate *)
+         makes that free), commit to the predicted winner, and run it;
+         the result keeps [Auto] as its strategy and carries the
+         decision record (the delegated run already rolled its metrics
+         under the concrete strategy) *)
       let first = build seed in
       let pick =
-        auto_pick ?budget ~vl ~invocations first.Fv_workloads.Kernels.loop
-          first.Fv_workloads.Kernels.mem first.Fv_workloads.Kernels.env
+        auto_pick ?budget ~vl ~invocations first.K.loop first.K.mem
+          first.K.env
       in
       let r =
-        run_workload ?budget ~vl ~mode ?faults ~rtm_retries ?obs ~invocations
-          ~seed pick.a_chosen build
+        run ~capacity ?budget ~vl ?faults ~rtm_retries ?obs ~invocations ~seed
+          pick.a_chosen build
       in
       { r with strategy = Auto; auto = Some pick }
   | _ ->
-  let plan = plan_for faults strategy in
-  let injected = ref 0 and rtm_stats = ref None in
-  let build k = Fv_obs.Span.with_ ~cat:"harness" "build" (fun () -> build k) in
-  let first = build seed in
-  let l = first.Fv_workloads.Kernels.loop in
-  let sink = Fv_trace.Sink.create ~capacity:65536 () in
-  let annot =
-    Option.map
-      (fun o kind ->
-        Fv_obs.Annot.mark o.o_annots ~pos:(Fv_trace.Sink.length sink) kind)
-      obs
-  in
-  (* vectorization is a pure function of the loop: compile once per
-     workload, not once per invocation *)
-  let vloop_for =
-    let cache = ref [] in
-    fun style ->
-      match List.assq_opt style !cache with
-      | Some r -> r
-      | None ->
-          let r = Fv_vectorizer.Gen.vectorize ?budget ~vl ~style l in
-          cache := (style, r) :: !cache;
-          r
-  in
-  let traditional_vloop =
-    lazy (Fv_vectorizer.Traditional.vectorize ?budget ~vl l)
-  in
-  (* traditionally vectorized fallback for the degradation ladder,
-     oracle-gated once against the first build's scalar semantics *)
-  let traditional_checked =
-    lazy
-      (match Lazy.force traditional_vloop with
-      | Error _ -> None
-      | Ok vloop -> (
-          let mem = first.Fv_workloads.Kernels.mem
-          and env = first.Fv_workloads.Kernels.env in
-          let ms = Memory.clone mem and es = Interp.env_of_list env in
-          ignore (Interp.run ms es l);
-          let mv = Memory.clone mem and ev = Interp.env_of_list env in
-          match Fv_simd.Exec.run vloop mv ev with
-          | exception _ -> None
-          | _ ->
-              if
-                Oracle.compare_memories ms mv = Ok ()
-                && Oracle.compare_env l es ev = Ok ()
-              then Some vloop
-              else None))
-  in
-  let mix = ref None and exec = ref None and fell_back = ref false in
-  let compile = ref Not_compiled in
-  (* correctness gate once per workload; a failure degrades the whole
-     run to the scalar path (recorded below) instead of aborting, so
-     one bad workload cannot kill a parallel Figure 8 run *)
-  let oracle_error =
-    match style_of strategy with
-    | None -> None
-    | Some style -> (
-        match
-          Oracle.check ~vl ~style l
-            (Memory.clone first.Fv_workloads.Kernels.mem)
-            first.Fv_workloads.Kernels.env
-        with
-        | Ok _ | Error (Oracle.Not_vectorizable _) -> None
-        | Error f ->
-            Some
-              (Fmt.str "workload %s: oracle failed: %a" l.Fv_ir.Ast.name
-                 Oracle.pp_failure f))
-  in
-  (match oracle_error with
-  | Some msg -> compile := Degraded_scalar (Fv_ir.Validate.internal_error msg)
-  | None -> ());
-  let run_one (b : Fv_workloads.Kernels.built) =
-    Fv_parallel.Budget.check_opt budget;
-    let mem = b.Fv_workloads.Kernels.mem
-    and env = b.Fv_workloads.Kernels.env in
-    let scalar ?(fallback = true) () =
-      let m = Memory.clone mem and e = Interp.env_of_list env in
-      let hk = Interp.hooks ~emit:sink () in
-      ignore (Interp.run ~hk m e l);
-      (* only a vectorizing strategy that degrades is a fallback: the
-         scalar baseline reporting itself as one was a reporting bug *)
-      if fallback then fell_back := true
-    in
-    (* each invocation attaches the plan to its own clone, so the
-       injection trace is deterministic per invocation regardless of
-       how earlier invocations consumed access ordinals *)
-    let injected_mem () =
-      let m = Memory.clone mem in
-      Memory.set_fault_plan m plan;
-      m
-    in
-    let note_injected (m : Memory.t) =
-      injected := !injected + m.Memory.injected_faults
-    in
-    (* degradation ladder: rejected FlexVec-style compile → gated
-       traditional vloop if one exists → measured scalar path *)
-    let degrade (d : Fv_ir.Validate.diagnostic) =
-      match Lazy.force traditional_checked with
-      | Some vloop ->
-          compile := Degraded_traditional d;
-          let m = Memory.clone mem and e = Interp.env_of_list env in
-          exec := Some (Fv_simd.Exec.run ?budget ?annot ~emit:sink vloop m e);
-          if !mix = None then mix := Some (Fv_vir.Count.of_vloop vloop)
-      | None ->
-          compile := Degraded_scalar d;
-          scalar ()
-    in
-    match strategy with
-    | _ when oracle_error <> None -> scalar ()
-    | Scalar -> scalar ~fallback:false ()
-    | Traditional -> (
-        match Lazy.force traditional_vloop with
-        | Error d ->
-            compile := Degraded_scalar d;
-            scalar ()
-        | Ok vloop ->
-            compile := Vectorized;
-            let m = Memory.clone mem and e = Interp.env_of_list env in
-            exec := Some (Fv_simd.Exec.run ?budget ?annot ~emit:sink vloop m e);
-            if !mix = None then mix := Some (Fv_vir.Count.of_vloop vloop))
-    | Flexvec | Wholesale -> (
-        match vloop_for (Option.get (style_of strategy)) with
-        | Error d -> degrade d
-        | Ok vloop ->
-            compile := Vectorized;
-            let m = injected_mem () and e = Interp.env_of_list env in
-            exec := Some (Fv_simd.Exec.run ?budget ?annot ~emit:sink vloop m e);
-            note_injected m;
-            if !mix = None then mix := Some (Fv_vir.Count.of_vloop vloop))
-    | Rtm tile -> (
-        match vloop_for Fv_vectorizer.Gen.Flexvec with
-        | Error d -> degrade d
-        | Ok vloop ->
-            compile := Vectorized;
-            let m = injected_mem () and e = Interp.env_of_list env in
-            let r =
-              Fv_simd.Rtm_run.run ?budget ?annot ~emit:sink ~retries:rtm_retries
-                ~tile vloop m e
-            in
-            exec := Some r.Fv_simd.Rtm_run.exec;
-            note_injected m;
-            rtm_stats :=
-              Some
-                (match !rtm_stats with
-                | None -> r
-                | Some acc -> Fv_simd.Rtm_run.combine acc r);
-            if !mix = None then mix := Some (Fv_vir.Count.of_vloop vloop))
-    | Auto -> assert false (* dispatched above *)
-  in
-  (* between invocations real applications execute cold code; model it
-     as a short serial dependency chain so the OOO cannot overlap
-     distinct invocations of the hot loop (otherwise tiny-trip-count
-     loops look artificially parallel) *)
-  let invocation_gap () =
-    let gap = Fv_trace.Sink.internal sink Fv_trace.Sink.r_gap in
-    for _ = 1 to 100 do
-      Fv_trace.Sink.src sink gap;
-      Fv_trace.Sink.uop sink Fv_isa.Latency.Int_alu ~dst:gap
-    done
-  in
-  let run_one b = Fv_obs.Span.with_ ~cat:"harness" "trace" (fun () -> run_one b) in
-  run_one first;
-  for k = 1 to invocations - 1 do
-    invocation_gap ();
-    run_one (build (seed + k))
-  done;
-  let record = Option.map (fun o -> o.o_timing) obs in
-  (* memoized replay: the key includes the fault-plan fingerprint, so a
-     plan change can never serve a stale entry (see {!Fv_ooo.Simcache}) *)
-  let pipe =
-    Fv_obs.Span.with_ ~cat:"harness" "simulate" (fun () ->
-        Simcache.stats ?budget ?record ~mode
-          ~fault_key:(Fv_faults.Plan.fingerprint plan)
-          sink)
-  in
-  Option.iter (fun o -> o.o_trace <- Some sink) obs;
-  note_run_metrics
-    {
-      strategy;
-      cycles = pipe.Pipeline.cycles;
-      uops = pipe.Pipeline.uops;
-      pipe;
-      exec = !exec;
-      mix = !mix;
-      fell_back_to_scalar = !fell_back;
-      oracle_error;
-      rtm = !rtm_stats;
-      injected_faults = !injected;
-      compile = !compile;
-      auto = None;
-    }
-    ~compile:!compile ~strategy ~fell_back:!fell_back ~injected:!injected
-    ~exec:!exec ~rtm:!rtm_stats
+      let build k =
+        Fv_obs.Span.with_ ~cat:"harness" "build" (fun () -> build k)
+      in
+      let first = build seed in
+      let l = first.K.loop in
+      let leg, compile, oracle_error =
+        compile_leg ?budget ~vl ~rtm_retries strategy first
+      in
+      let plan = plan_for faults strategy in
+      (* a degraded run executes the ladder's code, not the recovery
+         machinery the plan was meant for *)
+      let attached = match compile with Vectorized -> plan | _ -> None in
+      let sink = Fv_trace.Sink.create ?capacity () in
+      (* annotations are pinned to the trace position current at the
+         moment the emulator reports the event *)
+      let annot =
+        Option.map
+          (fun o kind ->
+            Fv_obs.Annot.mark o.o_annots ~pos:(Fv_trace.Sink.length sink) kind)
+          obs
+      in
+      let exec = ref None and rtm = ref None and injected = ref 0 in
+      let add sum acc x =
+        acc := Some (match !acc with None -> x | Some a -> sum a x)
+      in
+      let run_one (b : K.built) =
+        Fv_parallel.Budget.check_opt budget;
+        (* each invocation attaches the plan to its own clone, so the
+           injection trace is deterministic per invocation regardless of
+           how earlier invocations consumed access ordinals *)
+        let m = Memory.clone b.K.mem and e = Interp.env_of_list b.K.env in
+        Memory.set_fault_plan m attached;
+        let x, t = execute ?budget ?annot ~emit:sink ~rtm_retries l leg m e in
+        Option.iter (add Fv_simd.Exec.sum exec) x;
+        Option.iter (add Fv_simd.Rtm_run.combine rtm) t;
+        injected := !injected + m.Memory.injected_faults
+      in
+      let run_one b =
+        Fv_obs.Span.with_ ~cat:"harness" "trace" (fun () -> run_one b)
+      in
+      (* between invocations real applications execute cold code; model
+         it as a short serial dependency chain so the OOO cannot overlap
+         distinct invocations of the hot loop (otherwise tiny-trip-count
+         loops look artificially parallel) *)
+      let invocation_gap () =
+        let gap = Fv_trace.Sink.internal sink Fv_trace.Sink.r_gap in
+        for _ = 1 to 100 do
+          Fv_trace.Sink.src sink gap;
+          Fv_trace.Sink.uop sink Fv_isa.Latency.Int_alu ~dst:gap
+        done
+      in
+      run_one first;
+      for k = 1 to invocations - 1 do
+        invocation_gap ();
+        run_one (build (seed + k))
+      done;
+      let record = Option.map (fun o -> o.o_timing) obs in
+      (* memoized replay: the key includes the fault-plan fingerprint, so
+         a plan change can never serve a stale entry (see
+         {!Fv_ooo.Simcache}) *)
+      let pipe =
+        Fv_obs.Span.with_ ~cat:"harness" "simulate" (fun () ->
+            Simcache.stats ?budget ?record
+              ~fault_key:(Fv_faults.Plan.fingerprint plan)
+              sink)
+      in
+      Option.iter (fun o -> o.o_trace <- Some sink) obs;
+      note_run_metrics
+        {
+          strategy;
+          cycles = pipe.Pipeline.cycles;
+          uops = pipe.Pipeline.uops;
+          pipe;
+          exec = !exec;
+          mix =
+            (match leg with
+            | Interp_leg -> None
+            | Exec_leg v | Rtm_leg (_, v) -> Some (Fv_vir.Count.of_vloop v));
+          fell_back_to_scalar =
+            (match compile with Degraded_scalar _ -> true | _ -> false);
+          oracle_error;
+          rtm = !rtm;
+          injected_faults = !injected;
+          compile;
+          auto = None;
+        }
+
+(** Trace [invocations] runs of a seeded kernel builder under one
+    strategy and replay the concatenated trace on the OOO model, as the
+    paper's hot loops are entered many times per application run. The
+    code is compiled and gated once, from the first build; each
+    invocation gets freshly seeded data, and [exec] and [rtm] sum over
+    the invocations. *)
+let run_workload ?budget ?(vl = 16) ?faults ?(rtm_retries = 2) ?obs
+    ~(invocations : int) ~(seed : int) (strategy : strategy)
+    (build : int -> K.built) : hot_run =
+  run ~capacity:(Some 65536) ?budget ~vl ?faults ~rtm_retries ?obs
+    ~invocations ~seed strategy build
+
+(** Trace one invocation of the hot loop on [mem]/[env] under one
+    strategy and replay it on the OOO model: {!run_workload} over a
+    builder that always returns this loop, memory and environment. *)
+let run_hot ?budget ?(vl = 16) ?faults ?(rtm_retries = 2) ?obs
+    (strategy : strategy) (l : Fv_ir.Ast.loop) (mem : Memory.t)
+    (env : (string * Value.t) list) : hot_run =
+  run ~capacity:None ?budget ~vl ?faults ~rtm_retries ?obs ~invocations:1
+    ~seed:0 strategy (fun _ -> { K.loop = l; mem; env })

@@ -27,7 +27,7 @@ let geomean = function
   | xs ->
       exp (List.fold_left (fun a x -> a +. log x) 0.0 xs /. float_of_int (List.length xs))
 
-let run_row ?(vl = 16) ?(seed = 42) ?mode ?faults ?rtm_retries ?budget
+let run_row ?(vl = 16) ?(seed = 42) ?faults ?rtm_retries ?budget
     (spec : R.spec) : row =
   let built = spec.build seed in
   (* profiling: the cold region's dynamic size is chosen so that the
@@ -50,12 +50,12 @@ let run_row ?(vl = 16) ?(seed = 42) ?mode ?faults ?rtm_retries ?budget
       ~coverage:profile.coverage ()
   in
   let baseline =
-    Experiment.run_workload ?budget ~vl ?mode ~invocations:spec.invocations
+    Experiment.run_workload ?budget ~vl ~invocations:spec.invocations
       ~seed Experiment.Scalar spec.build
   in
   let flexvec =
     if decision.vectorize then
-      Experiment.run_workload ?budget ~vl ?mode ?faults ?rtm_retries
+      Experiment.run_workload ?budget ~vl ?faults ?rtm_retries
         ~invocations:spec.invocations ~seed Experiment.Flexvec spec.build
     else baseline
   in
@@ -91,14 +91,14 @@ type result = {
     The pool's detach deadline is only the backstop for a row stuck
     where nothing polls; it is set to twice the budget so that a row
     which does poll always cancels before it can be detached. *)
-let run ?vl ?seed ?mode ?domains ?faults ?rtm_retries ?timeout_s
+let run ?vl ?seed ?domains ?faults ?rtm_retries ?timeout_s
     ?(benchmarks = R.all) () : result =
   let row spec =
     (* armed when the row starts, not when the run does *)
     let budget =
       Option.map (fun s -> Fv_parallel.Budget.create ~deadline_s:s ()) timeout_s
     in
-    run_row ?vl ?seed ?mode ?faults ?rtm_retries ?budget spec
+    run_row ?vl ?seed ?faults ?rtm_retries ?budget spec
   in
   let outcomes =
     Fv_parallel.Pool.map ?domains

@@ -4,17 +4,16 @@
     section name used to [exit 1] only when dispatch reached it, i.e.
     {e after} every earlier (valid) section had already run — wasting
     minutes of simulation before reporting a typo. All names are now
-    validated before anything runs. *)
+    validated before anything runs.
+
+    The pipeline scheduler is not an option: every section replays on
+    the event-driven scheduler, and the stepped one
+    ([Pipeline.run ~mode:`Step]) is the reference only the tests run. *)
 
 type plan = {
   sections : string list;  (** validated, in request order; never empty *)
   domains : int option;  (** [--domains N]; [None] = pool default *)
   json : string option;  (** [--json FILE]: combined report destination *)
-  mode : [ `Event | `Step ];
-      (** [--mode event|step]: pipeline scheduler for every simulated
-          section. The two produce identical statistics; [`Step] exists
-          for differential debugging and costs proportionally to
-          simulated cycles instead of pipeline events. *)
   fault_rate : float;
       (** [--fault-rate R]: per-access injected-fault probability for
           the recovery-capable strategies; 0.0 (default) disables
@@ -44,11 +43,6 @@ let parse_domains s =
   | Some d when d >= 1 -> Ok d
   | Some _ -> Error "--domains expects a positive integer"
   | None -> Error (Printf.sprintf "--domains: %S is not an integer" s)
-
-let parse_mode = function
-  | "event" -> Ok `Event
-  | "step" -> Ok `Step
-  | s -> Error (Printf.sprintf "--mode: %S is not \"event\" or \"step\"" s)
 
 let parse_fault_rate s =
   match float_of_string_opt s with
@@ -82,9 +76,9 @@ let fault_plan (p : plan) : Fv_faults.Plan.t option =
 
 (** Parse bench arguments (everything after [Sys.argv.(0)]). Accepts
     section names interleaved with [--domains N], [--json FILE],
-    [--mode event|step], [--fault-rate R], [--fault-seed N],
-    [--rtm-retries N], [--row-timeout S] and [--trace-out DIR] (each
-    also accepts the [--flag=value] spelling). No section name means
+    [--fault-rate R], [--fault-seed N], [--rtm-retries N],
+    [--row-timeout S] and [--trace-out DIR] (each also accepts the
+    [--flag=value] spelling). No section name means
     "run them all". Every requested section is validated against
     [available] — and rejected if requested twice, since each section
     writes one [BENCH_<name>.json] — before the plan is returned, so the
@@ -120,7 +114,6 @@ let parse_args ~(available : string list) (args : string list) :
         match flag with
         | "--domains" -> set parse_domains (fun d -> { acc with domains = Some d })
         | "--json" -> set (fun v -> Ok v) (fun j -> { acc with json = Some j })
-        | "--mode" -> set parse_mode (fun m -> { acc with mode = m })
         | "--fault-rate" ->
             set parse_fault_rate (fun r -> { acc with fault_rate = r })
         | "--fault-seed" ->
@@ -139,9 +132,8 @@ let parse_args ~(available : string list) (args : string list) :
         | _ -> go { acc with sections = a :: acc.sections } rest)
   in
   let init =
-    { sections = []; domains = None; json = None; mode = `Event;
-      fault_rate = 0.0; fault_seed = 1; rtm_retries = 2; row_timeout = None;
-      trace_out = None }
+    { sections = []; domains = None; json = None; fault_rate = 0.0;
+      fault_seed = 1; rtm_retries = 2; row_timeout = None; trace_out = None }
   in
   match go init args with
   | Error _ as e -> e

@@ -84,74 +84,10 @@ let timed (f : unit -> 'a) : 'a * float =
 
 (** Minimal JSON tree + writer (no external dependency) and serializers
     for every row type the evaluation produces. Schema: every
-    [BENCH_<section>.json] file is an object with at least
-    [schema_version], [section], [domains] (worker-domain count used),
-    [mode] (pipeline scheduler), [wall_seconds], and a section-specific
-    [rows] array.
-
-    Version history:
-    - 10: profile-guided strategy selection — the [auto] section
-      arrived ([BENCH_auto.json]: per-kernel decision rows with the
-      feature vector, predicted-vs-actual cycles for every model arm,
-      the oracle-best arm, regret (chosen cycles / oracle-best cycles)
-      and the Auto-vs-oracle speedup geomeans, plus off-grid trip /
-      vector-length / fault-rate decision probes); profiles gained
-      [branches] (dynamic conditional-branch count, previously recorded
-      but not serialized); the registry gained the selector's counters
-      ([auto_decisions{strategy}], [profile_branches],
-      [profile_branches_taken]) and the [auto_regret] histogram.
-    - 9: deadlines made real — cooperative cancellation budgets,
-      cost-based admission control (guaranteed-late requests answered
-      [rejected-cost] up front) and brownout degradation under
-      overload; the registry gained [serve_brownout_transitions] and
-      the [serve_brownout_level] gauge, and the [overload] section
-      arrived ([BENCH_overload.json]: goodput and shed/degraded counts
-      per offered-load multiplier, plus a pure-timeout drill).
-    - 8: self-healing serve — the registry gained the supervised-pool
-      and quarantine counters ([pool_worker_restarts],
-      [serve_worker_restarts], [serve_quarantined],
-      [serve_quarantine_strikes], [serve_client_disconnects]) and the
-      plan-cache snapshot counters ([plan_cache_restored_entries] /
-      [plan_cache_corrupt_entries]); [BENCH_serve.json] gained a
-      [restart] object (warm-restart drill: snapshot size, restored and
-      corrupt entry counts, in-process vs restored warm p50); the
-      [chaos] section arrived ([BENCH_chaos.json]: per-injection-rate
-      rows with availability over the non-injected population,
-      differential-oracle mismatches, quarantine and restart counts).
-    - 7: compile-service observability — the registry gained the plan
-      cache and response memo counters ([plan_cache_*] /
-      [response_cache_*]: hits, misses, evictions, collisions), the
-      simulator memo cache gained [sim_cache_evictions] (its table now
-      evicts one entry at a time instead of flushing at the cap), and
-      the per-request [serve_requests] counters plus the
-      [serve_request_seconds] histogram arrived with the [serve] bench
-      section ([BENCH_serve.json]: cold/warm latency rows).
-    - 6: metric snapshots made self-consistent — counter [sum] now
-      round-trips the counted value (it was stuck at 0), and histogram
-      [buckets] are cumulative with Prometheus semantics: each bucket
-      counts every observation [<=] its [le] bound, counts are monotone
-      non-decreasing along the list, and the final [le: null] (+inf)
-      bucket equals [count]. The registry also gained the simulator
-      memo-cache counters ([sim_cache_hits] / [sim_cache_misses] /
-      [sim_cache_bypass]).
-    - 5: the envelope gained [metrics] — a snapshot of the observability
-      registry ({!Fv_obs.Metrics}: labeled counters, gauges and
-      histograms — compile-status counts, fallbacks, injected faults,
-      RTM aborts/retries, pool utilisation) taken when the section
-      finished.
-    - 4: hot runs gained [compile_status] (front-end disposition:
-      not-compiled / vectorized / degraded-traditional / degraded-scalar)
-      and [rejection] (the structured diagnostic recorded when the run
-      degraded: statement id, severity, machine-readable reason label,
-      and detail text).
-    - 3: the envelope gained the fault-injection knobs ([fault_rate],
-      [fault_seed], [rtm_retries], [row_timeout]); hot runs gained
-      [injected_faults], [retries] and [rtm] (transactional statistics);
-      figure8 results gained [errors] (per-row failures captured instead
-      of aborting the report); the [fault-sweep] section was added.
-    - 2: pipeline stats gained [truncated] (simulation-watchdog flag)
-      and the envelope gained [mode].
-    - 1: initial envelope. *)
+    [BENCH_<section>.json] file is an object with at least [section],
+    [domains] (worker-domain count used), the fault knobs, [metrics],
+    [wall_seconds], and a section-specific body (EXPERIMENTS.md lists
+    the fields). *)
 module Json = struct
   type t =
     | Null
@@ -544,16 +480,13 @@ module Json = struct
       existing call sites keep producing accurate envelopes. [?metrics]
       is the observability-registry snapshot taken when the section
       finished (empty when nothing was recorded). *)
-  let report ~(section : string) ~(domains : int)
-      ~(mode : [ `Event | `Step ]) ?(fault_rate = 0.0) ?(fault_seed = 1)
-      ?(rtm_retries = 2) ?row_timeout ?(metrics = []) ~(wall_seconds : float)
-      (body : (string * t) list) : t =
+  let report ~(section : string) ~(domains : int) ?(fault_rate = 0.0)
+      ?(fault_seed = 1) ?(rtm_retries = 2) ?row_timeout ?(metrics = [])
+      ~(wall_seconds : float) (body : (string * t) list) : t =
     Obj
       ([
-         ("schema_version", Int 10);
          ("section", Str section);
          ("domains", Int domains);
-         ("mode", Str (match mode with `Event -> "event" | `Step -> "step"));
          ("fault_rate", Float fault_rate);
          ("fault_seed", Int fault_seed);
          ("rtm_retries", Int rtm_retries);

@@ -67,19 +67,19 @@ type rtm_point = {
 }
 
 let rtm_tile_sweep ?(tiles = [ 16; 32; 64; 128; 256; 512; 1024; 2048; 4096 ])
-    ?(trip = 8192) ?(seed = 5) ?mode ?domains ?faults ?rtm_retries () :
+    ?(trip = 8192) ?(seed = 5) ?domains ?faults ?rtm_retries () :
     rtm_point list =
   let build s = tunable_early_exit ~trip s in
   let inv = 4 in
-  let scalar = E.run_workload ?mode ~invocations:inv ~seed E.Scalar build in
+  let scalar = E.run_workload ~invocations:inv ~seed E.Scalar build in
   let ff =
-    E.run_workload ?mode ?faults ?rtm_retries ~invocations:inv ~seed E.Flexvec
+    E.run_workload ?faults ?rtm_retries ~invocations:inv ~seed E.Flexvec
       build
   in
   Fv_parallel.Pool.map_ordered ?domains
     (fun tile ->
       let rtm =
-        E.run_workload ?mode ?faults ?rtm_retries ~invocations:inv ~seed
+        E.run_workload ?faults ?rtm_retries ~invocations:inv ~seed
           (E.Rtm tile) build
       in
       {
@@ -105,7 +105,7 @@ type strategy_point = {
 }
 
 let strategy_sweep ?(rates = [ 0.0; 0.005; 0.01; 0.02; 0.05; 0.1; 0.2; 0.4 ])
-    ?(trip = 4096) ?(seed = 11) ?mode ?domains
+    ?(trip = 4096) ?(seed = 11) ?domains
     ~(pattern : [ `Cond_update | `Mem_conflict ]) () : strategy_point list =
   Fv_parallel.Pool.map_ordered ?domains
     (fun rate ->
@@ -116,9 +116,9 @@ let strategy_sweep ?(rates = [ 0.0; 0.005; 0.01; 0.02; 0.05; 0.1; 0.2; 0.4 ])
         | `Mem_conflict -> tunable_mem_conflict ~trip ~repeat_rate:rate s
       in
       let inv = 3 in
-      let scalar = E.run_workload ?mode ~invocations:inv ~seed E.Scalar build in
-      let fv = E.run_workload ?mode ~invocations:inv ~seed E.Flexvec build in
-      let ws = E.run_workload ?mode ~invocations:inv ~seed E.Wholesale build in
+      let scalar = E.run_workload ~invocations:inv ~seed E.Scalar build in
+      let fv = E.run_workload ~invocations:inv ~seed E.Flexvec build in
+      let ws = E.run_workload ~invocations:inv ~seed E.Wholesale build in
       {
         rate;
         scalar_c = scalar.E.cycles;
@@ -136,14 +136,14 @@ let strategy_sweep ?(rates = [ 0.0; 0.005; 0.01; 0.02; 0.05; 0.1; 0.2; 0.4 ])
 type trip_point = { trip : int; speedup : float }
 
 let trip_sweep ?(trips = [ 8; 16; 32; 64; 128; 512; 2048; 8192 ]) ?(seed = 3)
-    ?mode ?domains () : trip_point list =
+    ?domains () : trip_point list =
   Fv_parallel.Pool.map_ordered ?domains
     (fun trip ->
       let build s = tunable_cond_update ~trip ~update_rate:0.01 ~near_rate:0.2 s in
       (* total dynamic work held roughly constant *)
       let inv = max 1 (8192 / max 1 trip) in
-      let scalar = E.run_workload ?mode ~invocations:inv ~seed E.Scalar build in
-      let fv = E.run_workload ?mode ~invocations:inv ~seed E.Flexvec build in
+      let scalar = E.run_workload ~invocations:inv ~seed E.Scalar build in
+      let fv = E.run_workload ~invocations:inv ~seed E.Flexvec build in
       { trip; speedup = E.hot_speedup ~baseline:scalar fv })
     trips
 
@@ -154,7 +154,7 @@ let trip_sweep ?(trips = [ 8; 16; 32; 64; 128; 512; 2048; 8192 ]) ?(seed = 3)
 type evl_point = { update_rate : float; effective_vl : float; speedup : float }
 
 let evl_sweep ?(rates = [ 0.002; 0.01; 0.03; 0.06; 0.12; 0.25; 0.5 ])
-    ?(trip = 4096) ?(seed = 17) ?mode ?domains () : evl_point list =
+    ?(trip = 4096) ?(seed = 17) ?domains () : evl_point list =
   Fv_parallel.Pool.map_ordered ?domains
     (fun rate ->
       let build s = tunable_cond_update ~trip ~update_rate:rate ~near_rate:0.1 s in
@@ -163,8 +163,8 @@ let evl_sweep ?(rates = [ 0.002; 0.01; 0.03; 0.06; 0.12; 0.25; 0.5 ])
         Fv_profiler.Profile.profile b.Fv_workloads.Kernels.loop
           b.Fv_workloads.Kernels.mem b.Fv_workloads.Kernels.env
       in
-      let scalar = E.run_workload ?mode ~invocations:3 ~seed E.Scalar build in
-      let fv = E.run_workload ?mode ~invocations:3 ~seed E.Flexvec build in
+      let scalar = E.run_workload ~invocations:3 ~seed E.Scalar build in
+      let fv = E.run_workload ~invocations:3 ~seed E.Flexvec build in
       {
         update_rate = rate;
         effective_vl = p.Fv_profiler.Profile.effective_vl;
@@ -181,13 +181,13 @@ type vl_point = { vl : int; speedup : float }
 (** How much of FlexVec's benefit needs the full 512-bit width? The
     paper's examples all use 16 lanes; narrower configurations pay the
     same per-strip mask machinery over fewer elements. *)
-let vl_sweep ?(vls = [ 4; 8; 16 ]) ?(trip = 4096) ?(seed = 23) ?mode ?domains
+let vl_sweep ?(vls = [ 4; 8; 16 ]) ?(trip = 4096) ?(seed = 23) ?domains
     () : vl_point list =
   let build s = tunable_cond_update ~trip ~update_rate:0.01 ~near_rate:0.2 s in
-  let scalar = E.run_workload ?mode ~invocations:3 ~seed E.Scalar build in
+  let scalar = E.run_workload ~invocations:3 ~seed E.Scalar build in
   Fv_parallel.Pool.map_ordered ?domains
     (fun vl ->
-      let fv = E.run_workload ~vl ?mode ~invocations:3 ~seed E.Flexvec build in
+      let fv = E.run_workload ~vl ~invocations:3 ~seed E.Flexvec build in
       { vl; speedup = E.hot_speedup ~baseline:scalar fv })
     vls
 
@@ -207,7 +207,7 @@ type prefetch_point = {
     same traces against a hierarchy without the stream prefetcher: both
     versions get slower, the wide unit-stride vector accesses much more
     so. *)
-let prefetch_ablation ?(trip = 4096) ?(seed = 29) ?mode ?domains () :
+let prefetch_ablation ?(trip = 4096) ?(seed = 29) ?domains () :
     prefetch_point list =
   let build s = tunable_cond_update ~trip ~update_rate:0.01 ~near_rate:0.2 s in
   let trace strategy =
@@ -234,7 +234,7 @@ let prefetch_ablation ?(trip = 4096) ?(seed = 29) ?mode ?domains () :
       (* memoized: the prefetch depth is part of the cache key, so the
          two ablation points never alias *)
       let run t =
-        (Fv_ooo.Simcache.stats ?mode ~prefetch_depth:depth t)
+        (Fv_ooo.Simcache.stats ~prefetch_depth:depth t)
           .Fv_ooo.Pipeline.cycles
       in
       let sc = run scalar_trace and fc = run flexvec_trace in
@@ -262,12 +262,12 @@ type bench_strategies = {
     FlexVec-over-RTM with the paper's recommended 256-iteration tiles.
     The paper argues FlexVec dominates; this makes the comparison
     apples-to-apples on every Table 2 benchmark. *)
-let benchmark_strategies ?(seed = 42) ?(tile = 256) ?mode ?domains ?faults
+let benchmark_strategies ?(seed = 42) ?(tile = 256) ?domains ?faults
     ?rtm_retries () : bench_strategies list =
   Fv_parallel.Pool.map_ordered ?domains
     (fun (spec : Fv_workloads.Registry.spec) ->
       let run strategy =
-        E.run_workload ?mode ?faults ?rtm_retries
+        E.run_workload ?faults ?rtm_retries
           ~invocations:spec.invocations ~seed strategy spec.build
       in
       let base = run E.Scalar in

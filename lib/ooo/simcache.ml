@@ -2,9 +2,11 @@
 
     [Pipeline.run] is deterministic: the statistics are a pure function
     of the trace content, the machine configuration, the hierarchy
-    configuration (geometry is fixed; only the prefetch depth varies),
-    the scheduling mode and the watchdog threshold — every replay starts
-    from a cold hierarchy and a fresh predictor. The sweeps
+    configuration (geometry is fixed; only the prefetch depth varies)
+    and the watchdog threshold — every replay starts from a cold
+    hierarchy and a fresh predictor, and runs the event-driven
+    scheduler, whose statistics the stepped one reproduces bit for bit
+    ({!Pipeline.run}'s [?mode]; the tests compare the two). The sweeps
     re-simulate identical traces dozens of times (the strategy
     comparison re-runs every Figure 8 workload verbatim), so a
     process-wide cache keyed on those inputs turns the repeats into
@@ -14,7 +16,7 @@
     folded as the trace was recorded, so building the key never walks
     the trace) plus its length and register count, the full
     {!Machine.t} (a flat int record, compared structurally), the
-    prefetch depth, the mode, the watchdog threshold, and the caller's
+    prefetch depth, the watchdog threshold, and the caller's
     fault-plan fingerprint. The fingerprint is belt-and-braces: injected
     faults change the {e trace} (recovery uops appear), so the content
     hash already separates faulted from unfaulted runs — but keying on
@@ -54,7 +56,6 @@ type key = {
   k_nregs : int;
   k_cfg : Machine.t;
   k_prefetch : int;  (** hierarchy prefetch depth; geometry is fixed *)
-  k_event : bool;  (** scheduling mode *)
   k_max_cycles : int;
   k_fault : string;  (** fault-plan fingerprint ({!Fv_faults.Plan.fingerprint}) *)
 }
@@ -100,9 +101,8 @@ let set_capacity cap =
     [?fault_key] names the fault plan that shaped the trace (default: no
     injection). *)
 let stats ?budget ?(cfg = Machine.table1) ?(prefetch_depth = 4)
-    ?(mode : Pipeline.mode = `Event) ?(max_cycles = 400_000_000)
-    ?(fault_key = "") ?(record : Pipeline.timing option) (trace : Sink.t) :
-    Pipeline.stats =
+    ?(max_cycles = 400_000_000) ?(fault_key = "")
+    ?(record : Pipeline.timing option) (trace : Sink.t) : Pipeline.stats =
   let k =
     {
       k_hash = Sink.hash trace;
@@ -110,7 +110,6 @@ let stats ?budget ?(cfg = Machine.table1) ?(prefetch_depth = 4)
       k_nregs = Sink.nregs trace;
       k_cfg = cfg;
       k_prefetch = prefetch_depth;
-      k_event = (mode = `Event);
       k_max_cycles = max_cycles;
       k_fault = fault_key;
     }
@@ -122,7 +121,7 @@ let stats ?budget ?(cfg = Machine.table1) ?(prefetch_depth = 4)
         (* a canceled replay raises out of [Pipeline.run] before
            the store below, so a partial simulation is never memoized *)
         Fv_memsys.Hierarchy.with_cold ~prefetch_depth (fun hier ->
-            Pipeline.run ?budget ~cfg ~hier ~mode ~max_cycles ?record trace)
+            Pipeline.run ?budget ~cfg ~hier ~max_cycles ?record trace)
       in
       store k s;
       s
@@ -136,7 +135,7 @@ let stats ?budget ?(cfg = Machine.table1) ?(prefetch_depth = 4)
           let s =
             Fv_obs.Span.with_ ~cat:"sim" "replay" (fun () ->
                 Fv_memsys.Hierarchy.with_cold ~prefetch_depth (fun hier ->
-                    Pipeline.run ?budget ~cfg ~hier ~mode ~max_cycles trace))
+                    Pipeline.run ?budget ~cfg ~hier ~max_cycles trace))
           in
           store k s;
           s)

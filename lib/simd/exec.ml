@@ -30,6 +30,15 @@ let fresh_stats () =
   { strips = 0; vpl_iterations = 0; vpl_extra = 0; fallbacks = 0;
     fallback_iters = 0; broke = false }
 
+(** Field-wise sum of two runs' statistics; [broke] is or-ed. *)
+let sum (a : stats) (b : stats) : stats =
+  { strips = a.strips + b.strips;
+    vpl_iterations = a.vpl_iterations + b.vpl_iterations;
+    vpl_extra = a.vpl_extra + b.vpl_extra;
+    fallbacks = a.fallbacks + b.fallbacks;
+    fallback_iters = a.fallback_iters + b.fallback_iters;
+    broke = a.broke || b.broke }
+
 let pp_stats ppf (s : stats) =
   Fmt.pf ppf "strips=%d vpl_iters=%d vpl_extra=%d fallbacks=%d fallback_iters=%d"
     s.strips s.vpl_iterations s.vpl_extra s.fallbacks s.fallback_iters

@@ -57,13 +57,6 @@ let pp_rtm_stats ppf (s : rtm_stats) =
     s.tiles s.commits s.aborts s.capacity_aborts s.retries s.retried_commits
     s.scalar_iters
 
-let acc_stats (into : Exec.stats) (s : Exec.stats) =
-  into.Exec.strips <- into.Exec.strips + s.Exec.strips;
-  into.Exec.vpl_iterations <- into.Exec.vpl_iterations + s.Exec.vpl_iterations;
-  into.Exec.vpl_extra <- into.Exec.vpl_extra + s.Exec.vpl_extra;
-  into.Exec.fallbacks <- into.Exec.fallbacks + s.Exec.fallbacks;
-  into.Exec.fallback_iters <- into.Exec.fallback_iters + s.Exec.fallback_iters
-
 let zero_stats () =
   { tiles = 0; commits = 0; aborts = 0; capacity_aborts = 0; retries = 0;
     retried_commits = 0; scalar_iters = 0; exec = Exec.fresh_stats () }
@@ -71,16 +64,13 @@ let zero_stats () =
 (** Field-wise sum — accumulate per-invocation statistics over a hot
     run. [exec.broke] is or-ed. *)
 let combine (a : rtm_stats) (b : rtm_stats) : rtm_stats =
-  let exec = Exec.fresh_stats () in
-  acc_stats exec a.exec;
-  acc_stats exec b.exec;
-  exec.Exec.broke <- a.exec.Exec.broke || b.exec.Exec.broke;
   { tiles = a.tiles + b.tiles; commits = a.commits + b.commits;
     aborts = a.aborts + b.aborts;
     capacity_aborts = a.capacity_aborts + b.capacity_aborts;
     retries = a.retries + b.retries;
     retried_commits = a.retried_commits + b.retried_commits;
-    scalar_iters = a.scalar_iters + b.scalar_iters; exec }
+    scalar_iters = a.scalar_iters + b.scalar_iters;
+    exec = Exec.sum a.exec b.exec }
 
 (** Execute [vloop] in strip-mined transactional tiles of [tile] scalar
     iterations. Semantically equivalent to the scalar loop.
@@ -121,7 +111,7 @@ let run ?budget ?emit ?annot ?(capacity_elems = 6144) ?(retries = 2)
       (Fv_ir.Interp.run_iteration ~hk:(Fv_ir.Interp.hooks ?emit ()) mem env
          vloop.source)
   in
-  let total = Exec.fresh_stats () in
+  let total = ref (Exec.fresh_stats ()) in
   let tiles = ref 0 and commits = ref 0 and aborts = ref 0 in
   let capacity_aborts = ref 0 and retry_count = ref 0 in
   let retried_commits = ref 0 in
@@ -177,7 +167,7 @@ let run ?budget ?emit ?annot ?(capacity_elems = 6144) ?(retries = 2)
           rtm_uop Fv_isa.Latency.Xend ~reads:true ~writes:false;
           incr commits;
           if n > 0 then incr retried_commits;
-          acc_stats total stats;
+          total := Exec.sum !total stats;
           if stats.Exec.broke then broke := true
       | exception Memory.Fault f ->
           rtm_uop Fv_isa.Latency.Xabort ~reads:true ~writes:true;
@@ -204,8 +194,7 @@ let run ?budget ?emit ?annot ?(capacity_elems = 6144) ?(retries = 2)
     attempt 0;
     t0 := !t0 + tile
   done;
-  total.Exec.broke <- !broke;
   { tiles = !tiles; commits = !commits; aborts = !aborts;
     capacity_aborts = !capacity_aborts; retries = !retry_count;
     retried_commits = !retried_commits; scalar_iters = !scalar_iters;
-    exec = total }
+    exec = { !total with Exec.broke = !broke } }

@@ -82,6 +82,58 @@ let test_bar_chart () =
   Alcotest.(check bool) "renders" true (String.length c > 0);
   Alcotest.(check int) "two rows" 2 (List.length (String.split_on_char '\n' c))
 
+(* [exec] describes the whole workload, not its last invocation: each
+   counter is the sum over 445.gobmk's one-invocation runs *)
+let test_exec_sums_invocations () =
+  let spec = R.find "445.gobmk" and seed = 42 in
+  let counters (r : E.hot_run) =
+    match r.E.exec with
+    | Some e ->
+        Fv_simd.Exec.
+          [ e.strips; e.vpl_iterations; e.vpl_extra; e.fallbacks;
+            e.fallback_iters ]
+    | None -> Alcotest.failf "%s: no vector execution" spec.R.name
+  in
+  let whole =
+    E.run_workload ~invocations:spec.R.invocations ~seed E.Flexvec spec.R.build
+  in
+  let summed =
+    List.fold_left
+      (fun acc k ->
+        List.map2 ( + ) acc
+          (counters
+             (E.run_workload ~invocations:1 ~seed:(seed + k) E.Flexvec
+                spec.R.build)))
+      [ 0; 0; 0; 0; 0 ]
+      (List.init spec.R.invocations Fun.id)
+  in
+  Alcotest.(check (list int))
+    "strips, vpl_iterations, vpl_extra, fallbacks, fallback_iters" summed
+    (counters whole)
+
+(* an RTM leg is gated by the transactional executor it is traced
+   through, not by FlexVec's: every registry kernel passes that gate
+   through both entry points *)
+let test_rtm_gated_by_rtm () =
+  List.iter
+    (fun (spec : R.spec) ->
+      let check what (r : E.hot_run) =
+        match (r.E.compile, r.E.oracle_error) with
+        | E.Vectorized, None -> ()
+        | c, e ->
+            Alcotest.failf "%s %s: %s %s" spec.R.name what
+              (E.show_compile_status c)
+              (Option.value e ~default:"")
+      in
+      check "run_workload"
+        (E.run_workload ~invocations:spec.R.invocations ~seed:42 (E.Rtm 256)
+           spec.R.build);
+      let b = spec.R.build 42 in
+      check "run_hot"
+        (E.run_hot (E.Rtm 256) b.Fv_workloads.Kernels.loop
+           b.Fv_workloads.Kernels.mem b.Fv_workloads.Kernels.env))
+    R.all
+
 let suite =
   [
     Alcotest.test_case "all strategies execute" `Quick test_all_strategies_run;
@@ -94,4 +146,8 @@ let suite =
     Alcotest.test_case "strategy sweep (tiny)" `Quick test_strategy_sweep_tiny;
     Alcotest.test_case "report table" `Quick test_report_table;
     Alcotest.test_case "bar chart" `Quick test_bar_chart;
+    Alcotest.test_case "a workload's exec sums its invocations" `Quick
+      test_exec_sums_invocations;
+    Alcotest.test_case "RTM legs gated by the RTM executor" `Quick
+      test_rtm_gated_by_rtm;
   ]

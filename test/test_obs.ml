@@ -491,16 +491,14 @@ let test_timeline_rtm_markers_under_faults () =
     (List.mem "rtm:retry" instants)
 
 let test_timing_identical_event_vs_step () =
+  (* the runner replays on the event-driven scheduler; its trace,
+     replayed through the stepped reference, must log the same stages *)
   let spec = R.find "445.gobmk" in
-  let run mode =
-    let obs = E.obs () in
-    let r =
-      E.run_workload ~mode ~invocations:2 ~seed:1 ~obs E.Flexvec spec.R.build
-    in
-    (r.E.pipe, obs.E.o_timing)
-  in
-  let pe, te = run `Event and ps, ts = run `Step in
-  Alcotest.(check int) "same cycles" pe.Pipeline.cycles ps.Pipeline.cycles;
+  let obs = E.obs () in
+  let r = E.run_workload ~invocations:2 ~seed:1 ~obs E.Flexvec spec.R.build in
+  let te = obs.E.o_timing and ts = Pipeline.timing () in
+  let ps = Pipeline.run ~mode:`Step ~record:ts (Option.get obs.E.o_trace) in
+  Alcotest.(check int) "same cycles" r.E.pipe.Pipeline.cycles ps.Pipeline.cycles;
   let check_arr name a b =
     if a <> b then Alcotest.failf "stage log %s differs between schedulers" name
   in

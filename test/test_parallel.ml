@@ -602,17 +602,7 @@ let test_harness_validates_up_front () =
   | Ok plan ->
       Alcotest.(check (option int)) "inline =value" (Some 2) plan.domains;
       Alcotest.(check (list string)) "no sections means all" available
-        plan.sections;
-      Alcotest.(check bool) "default scheduler is event" true
-        (plan.mode = `Event));
-  (match Fv_core.Harness.parse_args ~available [ "--mode"; "step" ] with
-  | Error e -> Alcotest.fail e
-  | Ok plan ->
-      Alcotest.(check bool) "--mode step" true (plan.mode = `Step));
-  (match Fv_core.Harness.parse_args ~available [ "--mode=event" ] with
-  | Error e -> Alcotest.fail e
-  | Ok plan ->
-      Alcotest.(check bool) "--mode=event" true (plan.mode = `Event));
+        plan.sections);
   let rejected args =
     match Fv_core.Harness.parse_args ~available args with
     | Error _ -> true
@@ -622,12 +612,19 @@ let test_harness_validates_up_front () =
   Alcotest.(check bool) "non-integer --domains" true
     (rejected [ "--domains"; "many" ]);
   Alcotest.(check bool) "zero --domains" true (rejected [ "--domains"; "0" ]);
-  Alcotest.(check bool) "bad --mode value" true (rejected [ "--mode"; "fast" ]);
-  Alcotest.(check bool) "missing --mode value" true (rejected [ "--mode" ]);
   Alcotest.(check bool) "unknown option" true (rejected [ "--frobnicate" ]);
   (* bars are always on: no flag arms them *)
   Alcotest.(check bool) "unknown option --fail-on-degraded" true
     (rejected [ "--fail-on-degraded" ]);
+  (* every section replays on the event-driven scheduler: no flag
+     chooses it *)
+  List.iter
+    (fun args ->
+      Alcotest.(check bool)
+        ("unknown option " ^ String.concat " " args)
+        true (rejected args))
+    [ [ "--mode"; "step" ]; [ "--mode=event" ]; [ "--mode"; "fast" ];
+      [ "--mode" ] ];
   (* fault-injection and robustness knobs *)
   (match
      Fv_core.Harness.parse_args ~available
@@ -684,7 +681,7 @@ let test_json_report_shape () =
   let r = E.run_workload ~invocations:1 ~seed:1 E.Flexvec small_build in
   let s =
     to_string
-      (report ~section:"t" ~domains:3 ~mode:`Event ~wall_seconds:0.25
+      (report ~section:"t" ~domains:3 ~wall_seconds:0.25
          [ ("run", of_hot_run r) ])
   in
   List.iter
@@ -692,9 +689,9 @@ let test_json_report_shape () =
       Alcotest.(check bool) (Printf.sprintf "report has %s" needle) true
         (contains ~needle s))
     [
-      "\"schema_version\":10"; "\"section\":\"t\""; "\"domains\":3";
+      "\"section\":\"t\""; "\"domains\":3";
       "\"compile_status\":\"vectorized\""; "\"rejection\":null";
-      "\"mode\":\"event\""; "\"truncated\":false";
+      "\"truncated\":false";
       "\"fault_rate\":0"; "\"fault_seed\":1"; "\"rtm_retries\":2";
       "\"row_timeout\":null"; "\"metrics\":[]";
       "\"wall_seconds\":0.25"; "\"cycles\""; "\"ipc\"";
