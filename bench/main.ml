@@ -15,7 +15,8 @@
      vl-sweep       — ablation over hardware vector length
      strategies     — Figure 8 under FlexVec / wholesale / RTM
      prefetch-ablation — stream prefetcher on/off (§5 memory subsystem)
-     fault-sweep    — RTM abort/retry/fallback vs injected fault rate
+     fault-sweep    — RTM abort/retry/fallback vs injected fault rate,
+                      each point checked scalar == FF == RTM
      auto           — profile-guided strategy selection: regret vs oracle
      micro          — Bechamel micro-benchmarks
      serve          — compile-service load: cold vs warm plan cache
@@ -29,8 +30,6 @@
      --fault-rate R inject faults with per-access probability R into
                     the recovery-capable strategies (default 0 = off)
      --fault-seed N injection determinism seed (default 1)
-     --rtm-retries N transactional re-attempts per injected-fault abort
-                    before scalar fallback (default 2)
      --row-timeout S per-row wall-clock budget (seconds) for figure8,
                     the only section that reads it: an overdue row is
                     canceled cooperatively and becomes an error row
@@ -133,8 +132,7 @@ let figure8 (plan : Harness.plan) (bar : bar) =
   section "figure8: application speedup over the AVX-512 baseline";
   let r =
     Figure8.run ?domains:plan.Harness.domains
-      ?faults:(Harness.fault_plan plan) ~rtm_retries:plan.Harness.rtm_retries
-      ?timeout_s:plan.Harness.row_timeout ()
+      ?faults:(Harness.fault_plan plan) ?timeout_s:plan.Harness.row_timeout ()
   in
   let rows =
     [ "Benchmark"; "Cvrg"; "Hot speedup"; "Overall"; "Vectorized?"; "Mix emitted" ]
@@ -231,7 +229,7 @@ let rtm_sweep (plan : Harness.plan) (_ : bar) =
   section "rtm-sweep: transactional-speculation tile size (paper: 128-256 within 1-2% of FF)";
   let pts =
     Sweeps.rtm_tile_sweep ?domains:plan.Harness.domains
-      ?faults:(Harness.fault_plan plan) ~rtm_retries:plan.Harness.rtm_retries ()
+      ?faults:(Harness.fault_plan plan) ()
   in
   let rows =
     [ "Tile"; "RTM cycles"; "FF cycles"; "RTM/FF"; "vs scalar" ]
@@ -324,8 +322,7 @@ let strategies (plan : Harness.plan) (_ : bar) =
   section "strategies: Figure 8 under each speculation mechanism";
   let pts =
     Sweeps.benchmark_strategies ?domains:plan.Harness.domains
-      ?faults:(Harness.fault_plan plan)
-      ~rtm_retries:plan.Harness.rtm_retries ()
+      ?faults:(Harness.fault_plan plan) ()
   in
   let rows =
     [ "Benchmark"; "FlexVec (FF)"; "Wholesale (PACT'13)"; "FlexVec (RTM 256)" ]
@@ -383,7 +380,7 @@ let fault_sweep (plan : Harness.plan) (_ : bar) =
   let tiles = [ 64; 256; 1024 ] in
   let results =
     Sweeps.fault_sweep ~rates ~tiles ~seed:plan.Harness.fault_seed
-      ~retries:plan.Harness.rtm_retries ?domains:plan.Harness.domains ()
+      ?domains:plan.Harness.domains ()
   in
   let points =
     List.concat_map (fun t -> List.map (fun r -> (t, r)) rates) tiles
@@ -1557,7 +1554,7 @@ let () =
             let j =
               J.report ~section:name ~domains:domains_used
                 ~fault_rate:plan.fault_rate ~fault_seed:plan.fault_seed
-                ~rtm_retries:plan.rtm_retries ?row_timeout:plan.row_timeout
+                ?row_timeout:plan.row_timeout
                 ~metrics ~wall_seconds:wall body
             in
             J.to_file (Printf.sprintf "BENCH_%s.json" name) j;

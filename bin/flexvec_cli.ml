@@ -88,14 +88,6 @@ let fault_seed_arg =
     & info [ "fault-seed" ] ~docv:"N"
         ~doc:"Determinism seed for fault injection.")
 
-let rtm_retries_arg =
-  Arg.(
-    value & opt int 2
-    & info [ "rtm-retries" ] ~docv:"N"
-        ~doc:
-          "Transactional re-attempts after an injected-fault abort before \
-           falling back to scalar re-execution.")
-
 let to_strategy s tile =
   match s with
   | `Scalar -> Fv_core.Experiment.Scalar
@@ -243,8 +235,7 @@ let trace_out_arg =
            (1 simulated cycle = 1 µs).")
 
 let simulate_cmd =
-  let run name seed strategy tile fault_rate fault_seed rtm_retries trace_out
-      =
+  let run name seed strategy tile fault_rate fault_seed trace_out =
     let spec = find_spec name in
     let faults =
       if fault_rate = 0.0 then None
@@ -270,7 +261,7 @@ let simulate_cmd =
     in
     let s = to_strategy strategy tile in
     let r =
-      Fv_core.Experiment.run_workload ?faults ~rtm_retries ?obs:strat_obs
+      Fv_core.Experiment.run_workload ?faults ?obs:strat_obs
         ~invocations:spec.invocations ~seed s spec.build
     in
     (match (trace_out, recorder) with
@@ -335,7 +326,7 @@ let simulate_cmd =
        ~doc:"Simulate a benchmark on the Table 1 machine under a strategy.")
     Term.(
       const run $ bench_arg $ seed_arg $ strategy_arg $ tile_arg
-      $ fault_rate_arg $ fault_seed_arg $ rtm_retries_arg $ trace_out_arg)
+      $ fault_rate_arg $ fault_seed_arg $ trace_out_arg)
 
 (* ---------------- fuzz ---------------- *)
 

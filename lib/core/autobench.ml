@@ -126,11 +126,10 @@ type sweep_row = {
 (* score one tunable configuration: every arm and Auto each get a
    freshly built (same-seed) kernel, since runs mutate memory *)
 let sweep_row ~(sweep : string) ~(label : string) ?(vl = 16) ?faults
-    ?(rtm_retries = 2) (build : int -> K.built) : sweep_row =
+    (build : int -> K.built) : sweep_row =
   let run strategy =
     let b = build 7 in
-    Experiment.run_hot ~vl ?faults ~rtm_retries strategy b.K.loop
-      b.K.mem b.K.env
+    Experiment.run_hot ~vl ?faults strategy b.K.loop b.K.mem b.K.env
   in
   let arm_cycles =
     List.map

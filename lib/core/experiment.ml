@@ -277,36 +277,26 @@ type leg =
 
 (* One invocation of [leg] on [m]/[e]: its vector-execution and
    transactional statistics, where the leg has them. *)
-let execute ?budget ?annot ?emit ~rtm_retries l leg m e =
+let execute ?budget ?annot ?emit l leg m e =
   match leg with
   | Interp_leg ->
       ignore (Interp.run ~hk:(Interp.hooks ?emit ()) m e l);
       (None, None)
   | Exec_leg v -> (Some (Fv_simd.Exec.run ?budget ?annot ?emit v m e), None)
   | Rtm_leg (tile, v) ->
-      let r =
-        Fv_simd.Rtm_run.run ?budget ?annot ?emit ~retries:rtm_retries ~tile v
-          m e
-      in
+      let r = Fv_simd.Rtm_run.run ?budget ?annot ?emit ~tile v m e in
       (Some r.Fv_simd.Rtm_run.exec, Some r)
 
-(* The correctness gate: the scalar reference and [leg]'s own executor
-   (the one its invocations are traced through) run on clones of [b]'s
-   memory and environment, untraced and injection-free (injected-fault
-   equivalence is {!Oracle.check_under_faults}' job), and must agree on
-   final memory and live-outs. *)
-let gate ~rtm_retries (b : K.built) leg : (unit, string) result =
+(* The correctness gate: {!Oracle.against} with [leg]'s own executor
+   (the one its invocations are traced through), untraced and
+   injection-free (injected-fault equivalence is
+   {!Oracle.check_under_faults}' job). *)
+let gate (b : K.built) leg : (unit, string) result =
   let l = b.K.loop in
-  let ms = Memory.clone b.K.mem and es = Interp.env_of_list b.K.env in
-  ignore (Interp.run ms es l);
-  let mv = Memory.clone b.K.mem and ev = Interp.env_of_list b.K.env in
-  match execute ~rtm_retries l leg mv ev with
-  | exception Fv_simd.Exec.Vector_exec_error e -> Error e
-  | exception Memory.Fault f ->
-      Error (Fmt.str "memory fault: %a" Memory.pp_fault f)
-  | _ ->
-      Result.bind (Oracle.compare_memories ms mv) (fun () ->
-          Oracle.compare_env l es ev)
+  Oracle.against (Oracle.reference l b.K.mem b.K.env) l b.K.mem b.K.env
+    (execute l leg)
+  |> Result.map ignore
+  |> Result.map_error Oracle.message
 
 (* Compile [strategy] once, on the first build [b], and gate what it
    produced. A rejected FlexVec-style compile walks the ladder: a
@@ -315,10 +305,10 @@ let gate ~rtm_retries (b : K.built) leg : (unit, string) result =
    fails its gate degrades the whole run to scalar and records why, so
    one bad workload cannot take down a parallel Figure 8 sweep.
    [Traditional] models a plain AVX-512 compiler and is not gated. *)
-let compile_leg ?budget ~vl ~rtm_retries strategy (b : K.built) :
+let compile_leg ?budget ~vl strategy (b : K.built) :
     leg * compile_status * string option =
   let l = b.K.loop in
-  let gate = gate ~rtm_retries b in
+  let gate = gate b in
   let traditional () = Fv_vectorizer.Traditional.vectorize ?budget ~vl l in
   match (strategy, style_of strategy) with
   | Traditional, _ -> (
@@ -352,8 +342,8 @@ let compile_leg ?budget ~vl ~rtm_retries strategy (b : K.built) :
 (* The one runner behind {!run_workload} and {!run_hot}. [capacity] is
    the sink's starting size, which stays per entry point (DESIGN.md,
    "Two initial capacities"). *)
-let rec run ~capacity ?budget ~vl ?faults ~rtm_retries ?obs ~invocations
-    ~seed strategy (build : int -> K.built) : hot_run =
+let rec run ~capacity ?budget ~vl ?faults ?obs ~invocations ~seed strategy
+    (build : int -> K.built) : hot_run =
   match strategy with
   | Auto ->
       (* the warmup slice: profile the first build (scaled to the full
@@ -368,8 +358,8 @@ let rec run ~capacity ?budget ~vl ?faults ~rtm_retries ?obs ~invocations
           first.K.env
       in
       let r =
-        run ~capacity ?budget ~vl ?faults ~rtm_retries ?obs ~invocations ~seed
-          pick.a_chosen build
+        run ~capacity ?budget ~vl ?faults ?obs ~invocations ~seed pick.a_chosen
+          build
       in
       { r with strategy = Auto; auto = Some pick }
   | _ ->
@@ -379,7 +369,7 @@ let rec run ~capacity ?budget ~vl ?faults ~rtm_retries ?obs ~invocations
       let first = build seed in
       let l = first.K.loop in
       let leg, compile, oracle_error =
-        compile_leg ?budget ~vl ~rtm_retries strategy first
+        compile_leg ?budget ~vl strategy first
       in
       let plan = plan_for faults strategy in
       (* a degraded run executes the ladder's code, not the recovery
@@ -405,7 +395,7 @@ let rec run ~capacity ?budget ~vl ?faults ~rtm_retries ?obs ~invocations
            how earlier invocations consumed access ordinals *)
         let m = Memory.clone b.K.mem and e = Interp.env_of_list b.K.env in
         Memory.set_fault_plan m attached;
-        let x, t = execute ?budget ?annot ~emit:sink ~rtm_retries l leg m e in
+        let x, t = execute ?budget ?annot ~emit:sink l leg m e in
         Option.iter (add Fv_simd.Exec.sum exec) x;
         Option.iter (add Fv_simd.Rtm_run.combine rtm) t;
         injected := !injected + m.Memory.injected_faults
@@ -466,17 +456,16 @@ let rec run ~capacity ?budget ~vl ?faults ~rtm_retries ?obs ~invocations
     code is compiled and gated once, from the first build; each
     invocation gets freshly seeded data, and [exec] and [rtm] sum over
     the invocations. *)
-let run_workload ?budget ?(vl = 16) ?faults ?(rtm_retries = 2) ?obs
-    ~(invocations : int) ~(seed : int) (strategy : strategy)
-    (build : int -> K.built) : hot_run =
-  run ~capacity:(Some 65536) ?budget ~vl ?faults ~rtm_retries ?obs
-    ~invocations ~seed strategy build
+let run_workload ?budget ?(vl = 16) ?faults ?obs ~(invocations : int)
+    ~(seed : int) (strategy : strategy) (build : int -> K.built) : hot_run =
+  run ~capacity:(Some 65536) ?budget ~vl ?faults ?obs ~invocations ~seed
+    strategy build
 
 (** Trace one invocation of the hot loop on [mem]/[env] under one
     strategy and replay it on the OOO model: {!run_workload} over a
     builder that always returns this loop, memory and environment. *)
-let run_hot ?budget ?(vl = 16) ?faults ?(rtm_retries = 2) ?obs
-    (strategy : strategy) (l : Fv_ir.Ast.loop) (mem : Memory.t)
-    (env : (string * Value.t) list) : hot_run =
-  run ~capacity:None ?budget ~vl ?faults ~rtm_retries ?obs ~invocations:1
-    ~seed:0 strategy (fun _ -> { K.loop = l; mem; env })
+let run_hot ?budget ?(vl = 16) ?faults ?obs (strategy : strategy)
+    (l : Fv_ir.Ast.loop) (mem : Memory.t) (env : (string * Value.t) list) :
+    hot_run =
+  run ~capacity:None ?budget ~vl ?faults ?obs ~invocations:1 ~seed:0 strategy
+    (fun _ -> { K.loop = l; mem; env })

@@ -27,8 +27,7 @@ let geomean = function
   | xs ->
       exp (List.fold_left (fun a x -> a +. log x) 0.0 xs /. float_of_int (List.length xs))
 
-let run_row ?(vl = 16) ?(seed = 42) ?faults ?rtm_retries ?budget
-    (spec : R.spec) : row =
+let run_row ?(vl = 16) ?(seed = 42) ?faults ?budget (spec : R.spec) : row =
   let built = spec.build seed in
   (* profiling: the cold region's dynamic size is chosen so that the
      measured coverage equals Table 2's (the paper measures coverage
@@ -55,8 +54,8 @@ let run_row ?(vl = 16) ?(seed = 42) ?faults ?rtm_retries ?budget
   in
   let flexvec =
     if decision.vectorize then
-      Experiment.run_workload ?budget ~vl ?faults ?rtm_retries
-        ~invocations:spec.invocations ~seed Experiment.Flexvec spec.build
+      Experiment.run_workload ?budget ~vl ?faults ~invocations:spec.invocations
+        ~seed Experiment.Flexvec spec.build
     else baseline
   in
   let hot = Experiment.hot_speedup ~baseline flexvec in
@@ -91,14 +90,14 @@ type result = {
     The pool's detach deadline is only the backstop for a row stuck
     where nothing polls; it is set to twice the budget so that a row
     which does poll always cancels before it can be detached. *)
-let run ?vl ?seed ?domains ?faults ?rtm_retries ?timeout_s
-    ?(benchmarks = R.all) () : result =
+let run ?vl ?seed ?domains ?faults ?timeout_s ?(benchmarks = R.all) () :
+    result =
   let row spec =
     (* armed when the row starts, not when the run does *)
     let budget =
       Option.map (fun s -> Fv_parallel.Budget.create ~deadline_s:s ()) timeout_s
     in
-    run_row ?vl ?seed ?faults ?rtm_retries ?budget spec
+    run_row ?vl ?seed ?faults ?budget spec
   in
   let outcomes =
     Fv_parallel.Pool.map ?domains

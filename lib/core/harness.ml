@@ -19,9 +19,6 @@ type plan = {
           the recovery-capable strategies; 0.0 (default) disables
           injection entirely *)
   fault_seed : int;  (** [--fault-seed N]: injection determinism seed *)
-  rtm_retries : int;
-      (** [--rtm-retries N]: transactional re-attempts after an
-          injected-fault abort before falling back to scalar *)
   row_timeout : float option;
       (** [--row-timeout SECONDS]: per-row wall-clock budget, read only
           by the [figure8] section ({!Figure8.run}'s [?timeout_s]); an
@@ -55,12 +52,6 @@ let parse_fault_seed s =
   | Some n -> Ok n
   | None -> Error (Printf.sprintf "--fault-seed: %S is not an integer" s)
 
-let parse_rtm_retries s =
-  match int_of_string_opt s with
-  | Some n when n >= 0 -> Ok n
-  | Some _ -> Error "--rtm-retries expects a non-negative integer"
-  | None -> Error (Printf.sprintf "--rtm-retries: %S is not an integer" s)
-
 let parse_row_timeout s =
   match float_of_string_opt s with
   | Some t when Float.is_finite t && t > 0.0 -> Ok t
@@ -76,13 +67,12 @@ let fault_plan (p : plan) : Fv_faults.Plan.t option =
 
 (** Parse bench arguments (everything after [Sys.argv.(0)]). Accepts
     section names interleaved with [--domains N], [--json FILE],
-    [--fault-rate R], [--fault-seed N], [--rtm-retries N],
-    [--row-timeout S] and [--trace-out DIR] (each also accepts the
-    [--flag=value] spelling). No section name means
-    "run them all". Every requested section is validated against
-    [available] — and rejected if requested twice, since each section
-    writes one [BENCH_<name>.json] — before the plan is returned, so the
-    caller runs nothing on a bad request. *)
+    [--fault-rate R], [--fault-seed N], [--row-timeout S] and
+    [--trace-out DIR] (each also accepts the [--flag=value] spelling).
+    No section name means "run them all". Every requested section is
+    validated against [available] — and rejected if requested twice,
+    since each section writes one [BENCH_<name>.json] — before the plan
+    is returned, so the caller runs nothing on a bad request. *)
 let parse_args ~(available : string list) (args : string list) :
     (plan, string) result =
   let split_eq a =
@@ -118,8 +108,6 @@ let parse_args ~(available : string list) (args : string list) :
             set parse_fault_rate (fun r -> { acc with fault_rate = r })
         | "--fault-seed" ->
             set parse_fault_seed (fun s -> { acc with fault_seed = s })
-        | "--rtm-retries" ->
-            set parse_rtm_retries (fun n -> { acc with rtm_retries = n })
         | "--row-timeout" ->
             set parse_row_timeout (fun t -> { acc with row_timeout = Some t })
         | "--trace-out" ->
@@ -133,7 +121,7 @@ let parse_args ~(available : string list) (args : string list) :
   in
   let init =
     { sections = []; domains = None; json = None; fault_rate = 0.0;
-      fault_seed = 1; rtm_retries = 2; row_timeout = None; trace_out = None }
+      fault_seed = 1; row_timeout = None; trace_out = None }
   in
   match go init args with
   | Error _ as e -> e

@@ -481,7 +481,7 @@ module Json = struct
       is the observability-registry snapshot taken when the section
       finished (empty when nothing was recorded). *)
   let report ~(section : string) ~(domains : int) ?(fault_rate = 0.0)
-      ?(fault_seed = 1) ?(rtm_retries = 2) ?row_timeout ?(metrics = [])
+      ?(fault_seed = 1) ?row_timeout ?(metrics = [])
       ~(wall_seconds : float) (body : (string * t) list) : t =
     Obj
       ([
@@ -489,7 +489,6 @@ module Json = struct
          ("domains", Int domains);
          ("fault_rate", Float fault_rate);
          ("fault_seed", Int fault_seed);
-         ("rtm_retries", Int rtm_retries);
          ("row_timeout", opt (fun t -> Float t) row_timeout);
          ("metrics", List (List.map of_metric metrics));
          ("wall_seconds", Float wall_seconds);

@@ -67,20 +67,15 @@ type rtm_point = {
 }
 
 let rtm_tile_sweep ?(tiles = [ 16; 32; 64; 128; 256; 512; 1024; 2048; 4096 ])
-    ?(trip = 8192) ?(seed = 5) ?domains ?faults ?rtm_retries () :
-    rtm_point list =
+    ?(trip = 8192) ?(seed = 5) ?domains ?faults () : rtm_point list =
   let build s = tunable_early_exit ~trip s in
   let inv = 4 in
   let scalar = E.run_workload ~invocations:inv ~seed E.Scalar build in
-  let ff =
-    E.run_workload ?faults ?rtm_retries ~invocations:inv ~seed E.Flexvec
-      build
-  in
+  let ff = E.run_workload ?faults ~invocations:inv ~seed E.Flexvec build in
   Fv_parallel.Pool.map_ordered ?domains
     (fun tile ->
       let rtm =
-        E.run_workload ?faults ?rtm_retries ~invocations:inv ~seed
-          (E.Rtm tile) build
+        E.run_workload ?faults ~invocations:inv ~seed (E.Rtm tile) build
       in
       {
         tile;
@@ -262,13 +257,13 @@ type bench_strategies = {
     FlexVec-over-RTM with the paper's recommended 256-iteration tiles.
     The paper argues FlexVec dominates; this makes the comparison
     apples-to-apples on every Table 2 benchmark. *)
-let benchmark_strategies ?(seed = 42) ?(tile = 256) ?domains ?faults
-    ?rtm_retries () : bench_strategies list =
+let benchmark_strategies ?(seed = 42) ?(tile = 256) ?domains ?faults () :
+    bench_strategies list =
   Fv_parallel.Pool.map_ordered ?domains
     (fun (spec : Fv_workloads.Registry.spec) ->
       let run strategy =
-        E.run_workload ?faults ?rtm_retries
-          ~invocations:spec.invocations ~seed strategy spec.build
+        E.run_workload ?faults ~invocations:spec.invocations ~seed strategy
+          spec.build
       in
       let base = run E.Scalar in
       let overall r =
@@ -306,44 +301,29 @@ type fault_point = {
 }
 
 (** RTM robustness under injected faults: for each (tile size, fault
-    rate) point, run the strip-mined transactional execution with a
-    seeded probabilistic plan attached and record how the abort/retry/
-    scalar-fallback machinery responded. Every point is verified
-    against an injection-free scalar reference — a divergence raises,
-    which {!Fv_parallel.Pool.map} captures as that point's error
-    row rather than sinking the sweep. *)
+    rate) point, run {!Oracle.check_under_faults} with a seeded
+    probabilistic plan attached and record how the RTM leg's
+    abort/retry/scalar-fallback machinery responded. Every point thus
+    checks both the first-faulting and the RTM execution against an
+    injection-free scalar reference — a divergence raises, which
+    {!Fv_parallel.Pool.map} captures as that point's error row rather
+    than sinking the sweep. *)
 let fault_sweep ?(rates = [ 0.0; 0.0005; 0.002; 0.008; 0.03 ])
-    ?(tiles = [ 64; 256; 1024 ]) ?(trip = 4096) ?(seed = 7) ?(retries = 2)
-    ?domains () : (fault_point, Fv_parallel.Pool.failure) result list =
+    ?(tiles = [ 64; 256; 1024 ]) ?(trip = 4096) ?(seed = 7) ?domains () :
+    (fault_point, Fv_parallel.Pool.failure) result list =
   let points =
     List.concat_map (fun f_tile -> List.map (fun r -> (f_tile, r)) rates) tiles
   in
   Fv_parallel.Pool.map ?domains
     (fun (f_tile, f_rate) ->
       let b = tunable_cond_update ~trip ~update_rate:0.01 ~near_rate:0.2 seed in
-      let l = b.Fv_workloads.Kernels.loop in
-      let vloop =
-        match Fv_vectorizer.Gen.vectorize ~vl:16 l with
-        | Ok v -> v
-        | Error e ->
-            failwith
-              ("fault sweep: not vectorizable: " ^ Fv_ir.Validate.describe e)
+      let o =
+        Oracle.check_under_faults_exn ~tile:f_tile
+          ~plan:(Fv_faults.Plan.make ~rate:f_rate ~seed ())
+          b.Fv_workloads.Kernels.loop b.Fv_workloads.Kernels.mem
+          b.Fv_workloads.Kernels.env
       in
-      let module Memory = Fv_mem.Memory in
-      let ms = Memory.clone b.Fv_workloads.Kernels.mem
-      and es = Fv_ir.Interp.env_of_list b.Fv_workloads.Kernels.env in
-      ignore (Fv_ir.Interp.run ms es l);
-      let mr = Memory.clone b.Fv_workloads.Kernels.mem
-      and er = Fv_ir.Interp.env_of_list b.Fv_workloads.Kernels.env in
-      Memory.set_fault_plan mr
-        (Some (Fv_faults.Plan.make ~rate:f_rate ~seed ()));
-      let r = Fv_simd.Rtm_run.run ~retries ~tile:f_tile vloop mr er in
-      (match (Oracle.compare_memories ms mr, Oracle.compare_env l es er) with
-      | Ok (), Ok () -> ()
-      | Error e, _ | _, Error e ->
-          failwith
-            (Fmt.str "fault sweep (tile=%d rate=%g): diverged from scalar: %s"
-               f_tile f_rate e));
+      let r = o.Oracle.fo_rtm in
       let open Fv_simd.Rtm_run in
       let attempts = r.tiles + r.retries in
       let scalar_tiles = r.tiles - r.commits in
@@ -358,7 +338,7 @@ let fault_sweep ?(rates = [ 0.0; 0.0005; 0.002; 0.008; 0.03 ])
         f_retries = r.retries;
         f_retried_commits = r.retried_commits;
         f_scalar_iters = r.scalar_iters;
-        f_injected = mr.Memory.injected_faults;
+        f_injected = o.Oracle.fo_rtm_injected;
         f_abort_rate =
           (if attempts = 0 then 0.0
            else float_of_int r.aborts /. float_of_int attempts);

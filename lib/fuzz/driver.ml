@@ -2,10 +2,11 @@
 
     One case, one verdict: vectorize the loop (the front end must be
     total — any exception here is a {!Crash}), establish scalar ground
-    truth with the reference interpreter (a scalar-side exception means
-    the program itself is meaningless: {!Invalid}), execute the vector
-    program, and compare final memory and live-outs ({!Divergence} on
-    any disagreement, {!Accepted} otherwise). Structured rejections from
+    truth with {!Oracle.reference} (a scalar-side exception means the
+    program itself is meaningless: {!Invalid}), and check the vector
+    program with {!Oracle.against} ({!Divergence} on any disagreement,
+    a {!Crash} on an exception the oracle does not classify,
+    {!Accepted} otherwise). Structured rejections from
     the front end are {!Degraded} — the expected answer for most
     malformed cases, and an acceptable one for generator corners of the
     well-formed families.
@@ -14,10 +15,7 @@
     shrinks every failure to a minimal reproducer with {!Shrink}, and
     persists the minimized counterexamples to the corpus. *)
 
-open Fv_isa
 module Ast = Fv_ir.Ast
-module Interp = Fv_ir.Interp
-module Memory = Fv_mem.Memory
 module Oracle = Fv_core.Oracle
 
 type outcome =
@@ -48,29 +46,6 @@ let pp_outcome ppf = function
     [Invalid] are expected business; these two are bugs. *)
 let is_failure = function Divergence _ | Crash _ -> true | _ -> false
 
-(* live-out comparison that attributes a missing binding to the right
-   side: unbound on the scalar side means the case itself is broken
-   (Invalid), unbound only on the vector side is a genuine divergence *)
-let compare_live_out (l : Ast.loop) (es : Interp.env) (ev : Interp.env) :
-    [ `Ok | `Invalid of string | `Div of string ] =
-  let rec go = function
-    | [] -> `Ok
-    | v :: rest -> (
-        match Interp.env_get es v with
-        | exception _ -> `Invalid (Printf.sprintf "live-out %S never bound" v)
-        | a -> (
-            match Interp.env_get ev v with
-            | exception _ ->
-                `Div (Printf.sprintf "live-out %S unbound after vector run" v)
-            | b ->
-                if Oracle.value_close a b then go rest
-                else
-                  `Div
-                    (Fmt.str "live-out %s differs: scalar=%a vector=%a" v
-                       Value.pp_compact a Value.pp_compact b)))
-  in
-  go l.Ast.live_out
-
 let run_case (c : Gen.case) : outcome =
   match Fv_vectorizer.Gen.vectorize ~vl:c.vl c.loop with
   | exception exn ->
@@ -98,28 +73,28 @@ let run_case (c : Gen.case) : outcome =
       let scalar_loop =
         if Ast.is_numbered c.loop then c.loop else Ast.number c.loop
       in
-      let ms = Gen.memory_of c in
-      let es = Interp.env_of_list c.env in
-      match Interp.run ms es scalar_loop with
+      let mem = Gen.memory_of c in
+      match Oracle.reference scalar_loop mem c.env with
       | exception exn -> Invalid (Printexc.to_string exn)
-      | _trips -> (
-          let mv = Gen.memory_of c in
-          let ev = Interp.env_of_list c.env in
-          match Fv_simd.Exec.run vloop mv ev with
-          | exception Fv_simd.Exec.Vector_exec_error e ->
-              Divergence ("vector execution error: " ^ e)
-          | exception Memory.Fault f ->
-              Divergence (Fmt.str "vector memory fault: %a" Memory.pp_fault f)
+      | r -> (
+          match
+            Oracle.against r scalar_loop mem c.env (Fv_simd.Exec.run vloop)
+          with
           | exception exn ->
               Crash ("vector execution raised " ^ Printexc.to_string exn)
-          | _stats -> (
-              match Oracle.compare_memories ms mv with
-              | Error e -> Divergence e
-              | Ok () -> (
-                  match compare_live_out scalar_loop es ev with
-                  | `Invalid m -> Invalid m
-                  | `Div m -> Divergence m
-                  | `Ok -> Accepted)))))
+          | Error (Oracle.Vector_crash e) ->
+              Divergence ("vector execution error: " ^ e)
+          | Error f -> Divergence (Oracle.message f)
+          | Ok _ -> (
+              (* the oracle skips a live-out with no ground truth; here
+                 it makes the case itself meaningless *)
+              match
+                List.find_opt
+                  (fun v -> not (Hashtbl.mem r.Oracle.r_env v))
+                  scalar_loop.Ast.live_out
+              with
+              | Some v -> Invalid (Printf.sprintf "live-out %S never bound" v)
+              | None -> Accepted))))
 
 (* ---------------- campaign ---------------- *)
 

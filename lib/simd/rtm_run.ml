@@ -57,10 +57,6 @@ let pp_rtm_stats ppf (s : rtm_stats) =
     s.tiles s.commits s.aborts s.capacity_aborts s.retries s.retried_commits
     s.scalar_iters
 
-let zero_stats () =
-  { tiles = 0; commits = 0; aborts = 0; capacity_aborts = 0; retries = 0;
-    retried_commits = 0; scalar_iters = 0; exec = Exec.fresh_stats () }
-
 (** Field-wise sum — accumulate per-invocation statistics over a hot
     run. [exec.broke] is or-ed. *)
 let combine (a : rtm_stats) (b : rtm_stats) : rtm_stats =
@@ -72,6 +68,11 @@ let combine (a : rtm_stats) (b : rtm_stats) : rtm_stats =
     scalar_iters = a.scalar_iters + b.scalar_iters;
     exec = Exec.sum a.exec b.exec }
 
+(** Transactional re-attempts of a tile after an injected-fault abort
+    before it falls back to scalar re-execution. A persistent fault
+    thus costs three aborted attempts at most. *)
+let retries = 2
+
 (** Execute [vloop] in strip-mined transactional tiles of [tile] scalar
     iterations. Semantically equivalent to the scalar loop.
 
@@ -80,17 +81,15 @@ let combine (a : rtm_stats) (b : rtm_stats) : rtm_stats =
     {e injected} (transient — Intel's abort status would set the
     retry-is-worthwhile hint) and the tile's footprint stayed within the
     read/write-set capacity, the tile is re-attempted transactionally up
-    to [retries] more times before falling back to scalar re-execution.
+    to {!retries} more times before falling back to scalar re-execution.
     Genuine faults and capacity overflows go straight to scalar: a
     genuine fault is deterministic, and an overflowing tile would only
     overflow again. With no injection plan attached the retry machinery
     is never entered, so the uop trace is identical to the no-retry
     model. *)
-let run ?budget ?emit ?annot ?(capacity_elems = 6144) ?(retries = 2)
-    ~(tile : int) (vloop : vloop) (mem : Memory.t) (env : Fv_ir.Interp.env) :
-    rtm_stats =
+let run ?budget ?emit ?annot ?(capacity_elems = 6144) ~(tile : int)
+    (vloop : vloop) (mem : Memory.t) (env : Fv_ir.Interp.env) : rtm_stats =
   if tile < vloop.vl then invalid_arg "Rtm_run.run: tile smaller than VL";
-  if retries < 0 then invalid_arg "Rtm_run.run: negative retries";
   let vloop = strip_ff vloop in
   (* the XBEGIN / XEND / XABORT chain through reserved register rtm *)
   let rtm_uop cls ~reads ~writes =

@@ -191,8 +191,8 @@ let test_oracle_under_faults_registry () =
         (fun seed ->
           let plan = Plan.make ~rate:0.002 ~seed () in
           let o =
-            Oracle.check_under_faults_exn ~vl:16 ~tile:64 ~retries:2 ~plan
-              b.K.loop b.K.mem b.K.env
+            Oracle.check_under_faults_exn ~vl:16 ~tile:64 ~plan b.K.loop
+              b.K.mem b.K.env
           in
           Alcotest.(check bool)
             (Printf.sprintf "%s seed %d: trips simulated" spec.R.name seed)
@@ -202,11 +202,11 @@ let test_oracle_under_faults_registry () =
 
 (* ---------------- RTM retry policy ---------------- *)
 
-let rtm_run ?capacity_elems ?(retries = 2) ~tile ~plan (b : K.built) =
+let rtm_run ?capacity_elems ~tile ~plan (b : K.built) =
   let vloop = vectorized b in
   let mr = Memory.clone b.K.mem and er = Interp.env_of_list b.K.env in
   Memory.set_fault_plan mr (Some plan);
-  let stats = Fv_simd.Rtm_run.run ?capacity_elems ~retries ~tile vloop mr er in
+  let stats = Fv_simd.Rtm_run.run ?capacity_elems ~tile vloop mr er in
   (stats, mr, er)
 
 let test_rtm_retry_succeeds () =
@@ -236,7 +236,7 @@ let test_rtm_retries_exhausted_falls_back () =
   let ms, es = scalar_reference b in
   let a0 = Memory.base_of b.K.mem "sad" in
   let plan = Plan.make ~protected:[ (a0, a0 + 1) ] () in
-  let stats, mr, er = rtm_run ~tile:64 ~retries:2 ~plan b in
+  let stats, mr, er = rtm_run ~tile:64 ~plan b in
   let open Fv_simd.Rtm_run in
   Alcotest.(check int) "initial + 2 retries all abort" 3 stats.aborts;
   Alcotest.(check int) "retries spent" 2 stats.retries;
@@ -267,7 +267,7 @@ let test_rtm_capacity_with_fault_not_retried () =
 let test_fault_sweep_smoke () =
   let points =
     Fv_core.Sweeps.fault_sweep ~rates:[ 0.0; 0.02 ] ~tiles:[ 64 ] ~trip:512
-      ~seed:7 ~retries:2 ~domains:2 ()
+      ~seed:7 ~domains:2 ()
   in
   let oks =
     List.map

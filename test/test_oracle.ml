@@ -368,6 +368,63 @@ let test_zero_trip () =
   let mem = Memory.create () in
   check_all_styles "zero" l mem [ ("acc", Value.Int 42) ]
 
+(* the live-out rule: a live-out the reference never bound has no
+   ground truth and is not compared; one it bound must be bound by the
+   candidate. Both used to raise [Invalid_argument] out of the lookup *)
+let test_compare_env_unbound () =
+  let l =
+    B.(loop ~name:"lo" ~index:"i" ~hi:(int 0) ~live_out:[ "t"; "u" ] [])
+  in
+  let env = Fv_ir.Interp.env_of_list in
+  let u = ("u", Value.Int 1) in
+  Alcotest.(check bool) "unbound in the reference: skipped" true
+    (Oracle.compare_env l (env [ u ]) (env [ u ]) = Ok ());
+  match Oracle.compare_env l (env [ ("t", Value.Int 1); u ]) (env [ u ]) with
+  | Error m ->
+      Alcotest.(check string) "unbound in the candidate"
+        "live-out \"t\" unbound after vector run" m
+  | Ok () -> Alcotest.fail "a live-out the candidate left unbound passed"
+
+(* the one exception policy of the candidate runner, on stub executors *)
+let test_against_policy () =
+  let l =
+    B.(
+      loop ~name:"fill" ~index:"i" ~hi:(int 4)
+        [ store "a" (var "i") (var "i") ])
+  in
+  let mem = Memory.create () in
+  ignore (Memory.alloc_ints mem "a" (Array.make 4 0));
+  let r = Oracle.reference l mem [] in
+  let against exec = Oracle.against r l mem [] exec in
+  (match against (fun m e -> Fv_ir.Interp.run m e l) with
+  | Ok (trips, m) ->
+      Alcotest.(check int) "the scalar loop agrees with itself" 4 trips;
+      Alcotest.(check int) "on the memory it returns" 3
+        (Value.to_int (Memory.get m "a" 3))
+  | Error f -> Alcotest.failf "self-check failed: %a" Oracle.pp_failure f);
+  (match against (fun _ _ -> raise (Fv_simd.Exec.Vector_exec_error "boom")) with
+  | Error (Oracle.Vector_crash m) ->
+      Alcotest.(check string) "exec error" "boom" m
+  | _ -> Alcotest.fail "Vector_exec_error must be a Vector_crash");
+  let fault = { Memory.addr = 7; write = true; injected = false } in
+  (match against (fun _ _ -> raise (Memory.Fault fault)) with
+  | Error (Oracle.Vector_crash m) ->
+      Alcotest.(check string) "names the fault"
+        ("memory fault: " ^ Memory.show_fault fault) m
+  | _ -> Alcotest.fail "Memory.Fault must be a Vector_crash");
+  (match
+     against (fun m e ->
+         ignore (Fv_ir.Interp.run m e l);
+         Memory.set m "a" 2 (Value.Int 99))
+   with
+  | Error (Oracle.Mismatch m) ->
+      Alcotest.(check string) "names the array and index"
+        "array a differs at [2]: scalar=2 vector=99" m
+  | _ -> Alcotest.fail "a wrong element must be a Mismatch");
+  match against (fun _ _ -> raise Not_found) with
+  | exception Not_found -> ()
+  | _ -> Alcotest.fail "any other exception must escape"
+
 let suite =
   [
     Alcotest.test_case "h264: no updates" `Quick test_h264_no_updates;
@@ -396,4 +453,8 @@ let suite =
     Alcotest.test_case "odd trip counts" `Quick test_odd_trip_counts;
     Alcotest.test_case "NaN-producing kernel agrees" `Quick test_nan_agreement;
     Alcotest.test_case "zero trip" `Quick test_zero_trip;
+    Alcotest.test_case "compare_env: unbound live-outs" `Quick
+      test_compare_env_unbound;
+    Alcotest.test_case "against: one exception policy" `Quick
+      test_against_policy;
   ]

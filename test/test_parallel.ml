@@ -616,26 +616,26 @@ let test_harness_validates_up_front () =
   (* bars are always on: no flag arms them *)
   Alcotest.(check bool) "unknown option --fail-on-degraded" true
     (rejected [ "--fail-on-degraded" ]);
-  (* every section replays on the event-driven scheduler: no flag
-     chooses it *)
+  (* every section replays on the event-driven scheduler, and an RTM
+     tile is retried a fixed [Rtm_run.retries] times: no flag chooses
+     either *)
   List.iter
     (fun args ->
       Alcotest.(check bool)
         ("unknown option " ^ String.concat " " args)
         true (rejected args))
     [ [ "--mode"; "step" ]; [ "--mode=event" ]; [ "--mode"; "fast" ];
-      [ "--mode" ] ];
+      [ "--mode" ]; [ "--rtm-retries"; "5" ]; [ "--rtm-retries=-1" ] ];
   (* fault-injection and robustness knobs *)
   (match
      Fv_core.Harness.parse_args ~available
        [ "figure8"; "--fault-rate"; "0.01"; "--fault-seed=23";
-         "--rtm-retries"; "5"; "--row-timeout=2.5" ]
+         "--row-timeout=2.5" ]
    with
   | Error e -> Alcotest.fail e
   | Ok plan ->
       Alcotest.(check (float 1e-12)) "--fault-rate" 0.01 plan.fault_rate;
       Alcotest.(check int) "--fault-seed" 23 plan.fault_seed;
-      Alcotest.(check int) "--rtm-retries" 5 plan.rtm_retries;
       Alcotest.(check (option (float 1e-12))) "--row-timeout" (Some 2.5)
         plan.row_timeout;
       Alcotest.(check bool) "nonzero rate yields an injection plan" true
@@ -654,8 +654,6 @@ let test_harness_validates_up_front () =
     (rejected [ "--fault-rate"; "often" ]);
   Alcotest.(check bool) "non-integer seed" true
     (rejected [ "--fault-seed"; "x" ]);
-  Alcotest.(check bool) "negative retries" true
-    (rejected [ "--rtm-retries"; "-1" ]);
   Alcotest.(check bool) "zero timeout" true (rejected [ "--row-timeout"; "0" ]);
   Alcotest.(check bool) "negative timeout" true
     (rejected [ "--row-timeout"; "-3" ]);
@@ -692,7 +690,7 @@ let test_json_report_shape () =
       "\"section\":\"t\""; "\"domains\":3";
       "\"compile_status\":\"vectorized\""; "\"rejection\":null";
       "\"truncated\":false";
-      "\"fault_rate\":0"; "\"fault_seed\":1"; "\"rtm_retries\":2";
+      "\"fault_rate\":0"; "\"fault_seed\":1";
       "\"row_timeout\":null"; "\"metrics\":[]";
       "\"wall_seconds\":0.25"; "\"cycles\""; "\"ipc\"";
       "\"fell_back_to_scalar\":false"; "\"oracle_error\":null";

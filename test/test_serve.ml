@@ -923,6 +923,26 @@ let test_response_field () =
     (Printf.sprintf "%.0f words for 1000 reads" words)
     true (words <= 5000.0)
 
+(* a zero-trip loop whose live-out only its body assigns: the scalar
+   reference never binds it, so the gate has no ground truth for it.
+   The gated legs used to answer an internal error *)
+let test_simulate_unbound_live_out () =
+  List.iter
+    (fun strategy ->
+      let line =
+        Printf.sprintf
+          "(request (id z) (op simulate) (strategy %s) (case (label plain) \
+           (seed 0) (vl 4) (loop (name z) (index i) (lo (const (i 0))) (hi \
+           (const (i 0))) (live-out t) (body (0 assign t (load a (var i))))) \
+           (arrays (a (i 1) (i 2) (i 3) (i 4))) (env)))"
+          strategy
+      in
+      let resp = Service.handle (fresh_cfg ()) line in
+      Alcotest.(check string) (strategy ^ ": status") "ok" (status_of resp);
+      Alcotest.(check string) (strategy ^ ": compile") "vectorized"
+        (atom_field "compile" resp))
+    [ "flexvec"; "wholesale"; "rtm" ]
+
 let suite =
   [
     Alcotest.test_case "served compile == one-shot front end" `Quick
@@ -979,4 +999,6 @@ let suite =
       test_response_field;
     Alcotest.test_case "workers kept through a burst, released when idle"
       `Quick test_pool_reused_within_burst;
+    Alcotest.test_case "simulate: a live-out the scalar run never binds"
+      `Quick test_simulate_unbound_live_out;
   ]
