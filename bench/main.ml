@@ -76,14 +76,6 @@ let section name =
    wrong. The driver gives each section its own [bar]. *)
 type bar = bool -> string -> unit
 
-let counter_total (snaps : Fv_obs.Metrics.snap list) (name : string) : int =
-  List.fold_left
-    (fun acc (s : Fv_obs.Metrics.snap) ->
-      if String.equal s.Fv_obs.Metrics.s_name name then
-        acc + s.Fv_obs.Metrics.s_count
-      else acc)
-    0 snaps
-
 (* Each section prints its human tables, checks its bars and returns
    the body fields of its JSON report; the driver wraps them in the
    common envelope (section name, domain count, wall-clock seconds). *)
@@ -170,8 +162,8 @@ let figure8 (plan : Harness.plan) (bar : bar) =
      bypasses it is a different (and far slower) code path *)
   let snaps = Fv_obs.Metrics.snapshot Fv_obs.Metrics.global in
   bar
-    (counter_total snaps "sim_cache_hits"
-     + counter_total snaps "sim_cache_misses"
+    (Fv_obs.Metrics.total snaps "sim_cache_hits"
+     + Fv_obs.Metrics.total snaps "sim_cache_misses"
     > 0)
     "no simulation went through Simcache";
   List.iter
@@ -184,15 +176,7 @@ let figure8 (plan : Harness.plan) (bar : bar) =
   print_endline
     (Report.bar_chart
        (List.map (fun (row : Figure8.row) -> (row.spec.name, row.overall)) r.rows));
-  [
-    ("rows", J.List (List.map J.of_figure8_row r.rows));
-    ( "errors",
-      J.List
-        (List.map (fun (name, msg) -> J.of_error_row ~label:name msg) r.errors)
-    );
-    ("spec_geomean", J.Float r.spec_geomean);
-    ("app_geomean", J.Float r.app_geomean);
-  ]
+  J.of_figure8_result r
 
 let table2 (plan : Harness.plan) (_ : bar) =
   let domains = plan.Harness.domains in
@@ -444,7 +428,7 @@ let auto_bench (plan : Harness.plan) (bar : bar) =
          (fun (r : Autobench.row) ->
            [
              r.b_spec.name;
-             J.strategy_atom r.b_chosen;
+             Experiment.strategy_atom r.b_chosen;
              Printf.sprintf "%.0f" r.b_predicted;
              Printf.sprintf "%.0f" r.b_auto_cycles;
              Fv_auto.Model.atom_of_choice r.b_oracle_arm;
@@ -470,7 +454,7 @@ let auto_bench (plan : Harness.plan) (bar : bar) =
            [
              s.s_sweep;
              s.s_label;
-             J.strategy_atom s.s_chosen;
+             Experiment.strategy_atom s.s_chosen;
              Printf.sprintf "%.3f" s.s_regret;
            ])
          sweeps
@@ -504,7 +488,8 @@ let auto_bench (plan : Harness.plan) (bar : bar) =
     List.sort_uniq compare
       (List.filter_map
          (fun (s : Autobench.sweep_row) ->
-           if s.s_sweep = "fault" then Some (J.strategy_atom s.s_chosen)
+           if s.s_sweep = "fault" then
+             Some (Experiment.strategy_atom s.s_chosen)
            else None)
          sweeps)
   in
@@ -851,42 +836,6 @@ let serve_bench (plan : Harness.plan) (bar : bar) =
 (* chaos: the serve stack under seeded fault injection                 *)
 (* ------------------------------------------------------------------ *)
 
-(* [p]-quantile upper-bound bucket (seconds) of a histogram delta
-   between two snapshots, buckets summed across label sets *)
-let histo_quantile_bound ~(p : float) (before : Fv_obs.Metrics.snap list)
-    (after : Fv_obs.Metrics.snap list) (name : string) : float =
-  let buckets snaps =
-    let tbl = Hashtbl.create 16 in
-    List.iter
-      (fun (s : Fv_obs.Metrics.snap) ->
-        if String.equal s.Fv_obs.Metrics.s_name name then
-          List.iter
-            (fun (bound, c) ->
-              Hashtbl.replace tbl bound
-                (c + Option.value ~default:0 (Hashtbl.find_opt tbl bound)))
-            s.Fv_obs.Metrics.s_buckets)
-      snaps;
-    tbl
-  in
-  let b0 = buckets before and b1 = buckets after in
-  let bounds =
-    List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) b1 [])
-  in
-  let delta bound =
-    Option.value ~default:0 (Hashtbl.find_opt b1 bound)
-    - Option.value ~default:0 (Hashtbl.find_opt b0 bound)
-  in
-  match List.rev bounds with
-  | [] -> 0.0
-  | last :: _ ->
-      let total = delta last in
-      let need = int_of_float (ceil (p *. float_of_int total)) |> max 1 in
-      let hit =
-        List.find_opt (fun bound -> delta bound >= need) bounds
-      in
-      let b = Option.value ~default:last hit in
-      if Float.is_finite b then b else 100.0
-
 (* one chaos run, at one injection rate *)
 type chaos_row = {
   c_rate : float;
@@ -908,7 +857,6 @@ type chaos_row = {
 
 let chaos_bench (plan : Harness.plan) (bar : bar) =
   section "chaos: serve availability and byte-stability under injection";
-  Fv_serve.Server.reset_shutdown ();
   let seed = plan.Harness.fault_seed in
   let n = 300 in
   let cases = Fv_serve.Loadgen.distinct_cases ~n ~seed:5 in
@@ -940,8 +888,8 @@ let chaos_bench (plan : Harness.plan) (bar : bar) =
     | Some d -> d
     | None -> min 4 (Fv_parallel.Pool.default_domains ())
   in
-  (* one run at [rate]; with a [baseline] (id -> fault-free response)
-     it also counts oracle mismatches *)
+  (* one run at [rate]; with a [baseline] run it also counts oracle
+     mismatches *)
   let run ?baseline ~rate () =
     let chaos =
       if rate > 0.0 then
@@ -964,12 +912,7 @@ let chaos_bench (plan : Harness.plan) (bar : bar) =
         chaos;
       }
     in
-    let scfg = Fv_serve.Service.cfg () in
-    let before = Fv_obs.Metrics.snapshot Fv_obs.Metrics.global in
-    let t0 = Fv_obs.Clock.now () in
-    let responses = Fv_serve.Loadgen.serve_lines scfg opts lines in
-    let wall = Fv_obs.Clock.elapsed ~since:t0 in
-    let after = Fv_obs.Metrics.snapshot Fv_obs.Metrics.global in
+    let r = Fv_serve.Loadgen.drive (Fv_serve.Service.cfg ()) opts lines in
     (* best-effort quarantine dir cleanup *)
     (try
        Array.iter
@@ -978,75 +921,56 @@ let chaos_bench (plan : Harness.plan) (bar : bar) =
        Unix.rmdir qdir
      with Sys_error _ | Unix.Unix_error _ -> ());
     let injected =
-      List.mapi
-        (fun i l ->
-          match chaos with
-          | None -> false
-          | Some c ->
-              Fv_serve.Chaos.action c ~line:l ~ordinal:i <> Fv_serve.Chaos.Pass)
-        lines
+      Option.fold ~none:[]
+        ~some:(fun c -> Fv_serve.Chaos.injected c lines)
+        chaos
     in
-    let by_id =
-      List.filter_map
-        (fun r -> Option.map (fun id -> (id, r)) (Client.response_field r "id"))
-        responses
-    in
-    let is_ok r = Client.status_of_response r = Some "ok" in
-    let count s =
-      List.length
-        (List.filter (fun r -> Client.status_of_response r = Some s) responses)
-    in
+    let by_id = Fv_serve.Loadgen.by_id r in
     (* availability over the non-injected population: every request the
        chaos plan left alone must come back ok *)
     let spared =
       List.filter_map
-        (fun (l, inj) -> if inj then None else Client.response_field l "id")
-        (List.combine lines injected)
+        (fun l ->
+          if List.mem l injected then None else Client.response_field l "id")
+        lines
     in
     let spared_ok =
       List.filter
         (fun id ->
-          Option.fold ~none:false ~some:is_ok (List.assoc_opt id by_id))
+          match List.assoc_opt id by_id with
+          | Some resp -> Client.status_of_response resp = Some "ok"
+          | None -> false)
         spared
     in
-    (* differential oracle: chaos may fail a request, but an [ok]
-       response must be byte-identical to the fault-free run's *)
-    let mismatches =
-      match baseline with
-      | None -> 0
-      | Some base ->
-          List.length
-            (List.filter
-               (fun (id, r) ->
-                 is_ok r
-                 && not
-                      (match List.assoc_opt id base with
-                      | Some b -> String.equal b r
-                      | None -> false))
-               by_id)
-    in
-    let delta name = counter_total after name - counter_total before name in
+    let count = Fv_serve.Loadgen.count r and delta = Fv_serve.Loadgen.delta r in
     ( {
         c_rate = rate;
-        c_answered = List.length responses;
+        c_answered = List.length r.responses;
         c_ok = count "ok";
         c_deadline = count "deadline-exceeded";
         c_error = count "error";
         c_overloaded = count "overloaded";
-        c_injected = List.length (List.filter Fun.id injected);
+        c_injected = List.length injected;
         c_availability =
           float_of_int (List.length spared_ok)
           /. float_of_int (max 1 (List.length spared));
-        c_mismatches = mismatches;
+        (* differential oracle: chaos may fail a request, but an [ok]
+           response must be byte-identical to the fault-free run's *)
+        c_mismatches =
+          Option.fold ~none:0
+            ~some:(fun baseline ->
+              List.length (Fv_serve.Loadgen.mismatches ~baseline r))
+            baseline;
         c_quarantined = delta "serve_quarantined";
         c_strikes = delta "serve_quarantine_strikes";
         c_restarts = delta "pool_worker_restarts";
         c_shed = delta "serve_shed";
         c_p99_bound =
-          histo_quantile_bound ~p:0.99 before after "serve_request_seconds";
-        c_wall = wall;
+          Fv_obs.Metrics.quantile_bound ~p:0.99 ~before:r.before ~after:r.after
+            "serve_request_seconds";
+        c_wall = r.wall_s;
       },
-      by_id )
+      r )
   in
   (* fault-free baseline: the oracle's ground truth *)
   let base, baseline = run ~rate:0.0 () in
@@ -1155,7 +1079,6 @@ type overload_row = {
 
 let overload_bench (_ : Harness.plan) (bar : bar) =
   section "overload: deadline-true compile service under offered load";
-  Fv_serve.Server.reset_shutdown ();
   (* pick one mid-weight simulation case and replicate it with distinct
      ids: uniform real work per request, so goodput under overload is
      comparable to capacity instead of being noise from a heavy-tailed
@@ -1205,22 +1128,6 @@ let overload_bench (_ : Harness.plan) (bar : bar) =
       queue_cap = 256;
     }
   in
-  let run ?rate opts =
-    Fv_serve.Server.reset_shutdown ();
-    let scfg =
-      Fv_serve.Service.cfg ~cache:(Plancache.create ~cap:1024 ()) ()
-    in
-    let before = Fv_obs.Metrics.snapshot Fv_obs.Metrics.global in
-    let t0 = Fv_obs.Clock.now () in
-    let responses = Fv_serve.Loadgen.serve_lines ?rate scfg opts lines in
-    let wall = Fv_obs.Clock.elapsed ~since:t0 in
-    let after = Fv_obs.Metrics.snapshot Fv_obs.Metrics.global in
-    (responses, wall, before, after)
-  in
-  let with_status st responses =
-    List.length
-      (List.filter (fun r -> Client.status_of_response r = Some st) responses)
-  in
   (* measured capacity: the same stream and machinery at full speed in a
      no-shed, no-brownout configuration (queue sized to the stream,
      watermarks above 1.0) — every request does its full work, so this
@@ -1230,37 +1137,37 @@ let overload_bench (_ : Harness.plan) (bar : bar) =
     { opts with Fv_serve.Server.queue_cap = n; brownout_lo = 2.0;
       brownout_hi = 2.0 }
   in
-  let cap_responses, cap_wall, _, _ = run cap_opts in
-  let cap_ok = with_status "ok" cap_responses in
-  let capacity = float_of_int cap_ok /. cap_wall in
+  let cap_run =
+    Fv_serve.Loadgen.drive (Fv_serve.Service.cfg ()) cap_opts lines
+  in
+  let cap_ok = Fv_serve.Loadgen.count cap_run "ok" in
+  let capacity = float_of_int cap_ok /. cap_run.wall_s in
   Printf.printf
     "work unit: %.3f ms/simulate; measured capacity: %.0f req/s (%d/%d ok, \
      %.3f s, no-shed config)\n"
-    (1000.0 *. work_seconds) capacity cap_ok n cap_wall;
+    (1000.0 *. work_seconds) capacity cap_ok n cap_run.wall_s;
   let multipliers = [ 0.5; 1.0; 2.0; 4.0 ] in
   let rows =
     List.map
       (fun m ->
-        let responses, wall, before, after =
-          run ~rate:(m *. capacity) opts
+        let run =
+          Fv_serve.Loadgen.drive ~rate:(m *. capacity)
+            (Fv_serve.Service.cfg ()) opts lines
         in
-        let distinct_ids =
-          let ids = Hashtbl.create 64 in
-          List.iter
-            (fun r ->
-              match Client.response_field r "id" with
-              | Some id -> Hashtbl.replace ids id ()
-              | None -> ())
-            responses;
-          Hashtbl.length ids
+        let count = Fv_serve.Loadgen.count run
+        and delta = Fv_serve.Loadgen.delta run in
+        let bound p =
+          Fv_obs.Metrics.quantile_bound ~p ~before:run.before ~after:run.after
+            "serve_request_seconds"
         in
-        let delta name = counter_total after name - counter_total before name in
-        let ok = with_status "ok" responses in
         {
           o_multiplier = m;
-          o_answered = List.length responses;
-          o_distinct = distinct_ids;
-          o_ok = ok;
+          o_answered = List.length run.responses;
+          o_distinct =
+            List.length
+              (List.sort_uniq compare
+                 (List.map fst (Fv_serve.Loadgen.by_id run)));
+          o_ok = count "ok";
           (* compile-only or degraded plans: still useful, still
              goodput, but worth seeing *)
           o_ok_degraded =
@@ -1269,18 +1176,16 @@ let overload_bench (_ : Harness.plan) (bar : bar) =
                  (fun r ->
                    Client.status_of_response r = Some "ok"
                    && Client.response_field r "brownout" <> None)
-                 responses);
-          o_shed = with_status "overloaded" responses;
-          o_deadline = with_status "deadline-exceeded" responses;
-          o_rejected_cost = with_status "rejected-cost" responses;
+                 run.responses);
+          o_shed = count "overloaded";
+          o_deadline = count "deadline-exceeded";
+          o_rejected_cost = count "rejected-cost";
           o_brownout_transitions = delta "serve_brownout_transitions";
           o_expired_drops = delta "serve_expired_drops";
-          o_goodput = float_of_int ok /. wall;
-          o_p50_bound =
-            histo_quantile_bound ~p:0.50 before after "serve_request_seconds";
-          o_p99_bound =
-            histo_quantile_bound ~p:0.99 before after "serve_request_seconds";
-          o_wall = wall;
+          o_goodput = float_of_int (count "ok") /. run.wall_s;
+          o_p50_bound = bound 0.50;
+          o_p99_bound = bound 0.99;
+          o_wall = run.wall_s;
         })
       multipliers
   in
@@ -1309,7 +1214,6 @@ let overload_bench (_ : Harness.plan) (bar : bar) =
      cancellation must answer all of them with zero detached workers
      and zero replacement domains — the row timeout is only the
      backstop for code that never polls, and must never fire *)
-  Fv_serve.Server.reset_shutdown ();
   let nt = 200 in
   let sims = Fv_serve.Loadgen.distinct_cases ~n:nt ~seed:23 in
   let sim_lines =
@@ -1328,22 +1232,17 @@ let overload_bench (_ : Harness.plan) (bar : bar) =
       queue_cap = 4096;
     }
   in
-  let scfg = Fv_serve.Service.cfg () in
-  let before = Fv_obs.Metrics.snapshot Fv_obs.Metrics.global in
-  let t_responses = Fv_serve.Loadgen.serve_lines scfg t_opts sim_lines in
-  let after = Fv_obs.Metrics.snapshot Fv_obs.Metrics.global in
-  let restarts =
-    counter_total after "pool_worker_restarts"
-    - counter_total before "pool_worker_restarts"
+  let t_run =
+    Fv_serve.Loadgen.drive (Fv_serve.Service.cfg ()) t_opts sim_lines
   in
-  let t_answered = List.length t_responses
-  and t_deadline = with_status "deadline-exceeded" t_responses in
+  let restarts = Fv_serve.Loadgen.delta t_run "pool_worker_restarts" in
+  let t_answered = List.length t_run.responses
+  and t_deadline = Fv_serve.Loadgen.count t_run "deadline-exceeded"
+  and t_ok = Fv_serve.Loadgen.count t_run "ok" in
   Printf.printf
     "\npure-timeout: %d offered, %d answered (%d deadline-exceeded, %d ok), \
      %d worker restarts\n"
-    nt t_answered t_deadline
-    (with_status "ok" t_responses)
-    restarts;
+    nt t_answered t_deadline t_ok restarts;
   (* resilient-client leg: a lossy transport against the same service;
      deadline-aware retries must recover every loss *)
   let scfg_c = Fv_serve.Service.cfg () in
@@ -1438,7 +1337,7 @@ let overload_bench (_ : Harness.plan) (bar : bar) =
         [
           ("offered", J.Int nt);
           ("answered", J.Int t_answered);
-          ("ok", J.Int (with_status "ok" t_responses));
+          ("ok", J.Int t_ok);
           ("deadline_exceeded", J.Int t_deadline);
           ("worker_restarts", J.Int restarts);
         ] );

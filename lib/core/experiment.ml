@@ -56,10 +56,13 @@ let choice_of_strategy : strategy -> Fv_auto.Model.choice option = function
   | Rtm t -> Some (Fv_auto.Model.Rtm t)
   | Auto -> None
 
-(** The concrete strategies [Auto] selects between, in the model's
-    preference order — the oracle set regret is measured against. *)
-let auto_arms : strategy list =
-  List.map strategy_of_choice Fv_auto.Model.arms
+(** A strategy's name in reports and on the wire: its arm atom
+    (scalar|traditional|flexvec|wholesale|rtm:N), or "auto" for the
+    selector itself. *)
+let strategy_atom (s : strategy) : string =
+  match choice_of_strategy s with
+  | Some c -> Fv_auto.Model.atom_of_choice c
+  | None -> "auto"
 
 (** How the front end disposed of the hot loop. A vectorizing strategy
     whose compile is rejected does not abort the run: it degrades down

@@ -82,84 +82,14 @@ let timed (f : unit -> 'a) : 'a * float =
 (* JSON reports                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(** Minimal JSON tree + writer (no external dependency) and serializers
-    for every row type the evaluation produces. Schema: every
-    [BENCH_<section>.json] file is an object with at least [section],
-    [domains] (worker-domain count used), the fault knobs, [metrics],
-    [wall_seconds], and a section-specific body (EXPERIMENTS.md lists
-    the fields). *)
+(** The report layer's JSON: {!Fv_obs.Json}'s tree and writer, plus
+    serializers for every row type the evaluation produces. Schema:
+    every [BENCH_<section>.json] file is an object with at least
+    [section], [domains] (worker-domain count used), the fault knobs,
+    [metrics], [wall_seconds], and a section-specific body
+    (EXPERIMENTS.md lists the fields). *)
 module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Int of int
-    | Float of float
-    | Str of string
-    | List of t list
-    | Obj of (string * t) list
-
-  let escape (s : string) : string =
-    let buf = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-
-  let rec write buf = function
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Int i -> Buffer.add_string buf (string_of_int i)
-    | Float f ->
-        (* JSON has no NaN/Infinity literals *)
-        if Float.is_finite f then
-          Buffer.add_string buf (Printf.sprintf "%.12g" f)
-        else Buffer.add_string buf "null"
-    | Str s ->
-        Buffer.add_char buf '"';
-        Buffer.add_string buf (escape s);
-        Buffer.add_char buf '"'
-    | List xs ->
-        Buffer.add_char buf '[';
-        List.iteri
-          (fun i x ->
-            if i > 0 then Buffer.add_char buf ',';
-            write buf x)
-          xs;
-        Buffer.add_char buf ']'
-    | Obj kvs ->
-        Buffer.add_char buf '{';
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_char buf ',';
-            write buf (Str k);
-            Buffer.add_char buf ':';
-            write buf v)
-          kvs;
-        Buffer.add_char buf '}'
-
-  let to_string (t : t) : string =
-    let buf = Buffer.create 4096 in
-    write buf t;
-    Buffer.contents buf
-
-  let to_file (path : string) (t : t) : unit =
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        output_string oc (to_string t);
-        output_char oc '\n')
-
-  let opt f = function None -> Null | Some x -> f x
+  include Fv_obs.Json
 
   (* ---- serializers for the evaluation row types ---- *)
 
@@ -283,18 +213,17 @@ module Json = struct
   let of_error_row ~(label : string) (message : string) : t =
     Obj [ ("benchmark", Str label); ("error", Str message) ]
 
-  let of_figure8_result (r : Figure8.result) : t =
-    Obj
-      [
-        ("rows", List (List.map of_figure8_row r.rows));
-        ( "errors",
-          List
-            (List.map
-               (fun (name, msg) -> of_error_row ~label:name msg)
-               r.errors) );
-        ("spec_geomean", Float r.spec_geomean);
-        ("app_geomean", Float r.app_geomean);
-      ]
+  (* the figure8 section's report body *)
+  let of_figure8_result (r : Figure8.result) : (string * t) list =
+    [
+      ("rows", List (List.map of_figure8_row r.rows));
+      ( "errors",
+        List
+          (List.map (fun (name, msg) -> of_error_row ~label:name msg) r.errors)
+      );
+      ("spec_geomean", Float r.spec_geomean);
+      ("app_geomean", Float r.app_geomean);
+    ]
 
   let of_table2_row (r : Table2.row) : t =
     Obj
@@ -380,13 +309,6 @@ module Json = struct
         ("retry_success", Float p.f_retry_success);
       ]
 
-  (* strategy naming on the wire: the arm atom ("rtm:256"), or "auto"
-     for the selector itself *)
-  let strategy_atom (s : Experiment.strategy) : string =
-    match Experiment.choice_of_strategy s with
-    | Some c -> Fv_auto.Model.atom_of_choice c
-    | None -> "auto"
-
   let of_auto_features (f : Fv_auto.Features.t) : t =
     Obj
       [
@@ -424,7 +346,7 @@ module Json = struct
     Obj
       [
         ("benchmark", Str r.Autobench.b_spec.Fv_workloads.Registry.name);
-        ("chosen", Str (strategy_atom r.Autobench.b_chosen));
+        ("chosen", Str (Experiment.strategy_atom r.Autobench.b_chosen));
         ("predicted_cycles", Float r.Autobench.b_predicted);
         ("auto_cycles", Float r.Autobench.b_auto_cycles);
         ("scalar_cycles", Float r.Autobench.b_scalar_cycles);
@@ -442,7 +364,7 @@ module Json = struct
       [
         ("sweep", Str s.Autobench.s_sweep);
         ("label", Str s.Autobench.s_label);
-        ("chosen", Str (strategy_atom s.Autobench.s_chosen));
+        ("chosen", Str (Experiment.strategy_atom s.Autobench.s_chosen));
         ("regret", Float s.Autobench.s_regret);
       ]
 

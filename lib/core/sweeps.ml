@@ -205,34 +205,27 @@ type prefetch_point = {
 let prefetch_ablation ?(trip = 4096) ?(seed = 29) ?domains () :
     prefetch_point list =
   let build s = tunable_cond_update ~trip ~update_rate:0.01 ~near_rate:0.2 s in
-  let trace strategy =
-    let sink = Fv_trace.Sink.create ~capacity:65536 () in
-      let b = build seed in
-    let l = b.Fv_workloads.Kernels.loop in
-    let m = Fv_mem.Memory.clone b.Fv_workloads.Kernels.mem in
-    let e = Fv_ir.Interp.env_of_list b.Fv_workloads.Kernels.env in
-    (match strategy with
-    | `Scalar ->
-        let hk = Fv_ir.Interp.hooks ~emit:sink () in
-        ignore (Fv_ir.Interp.run ~hk m e l)
-    | `Flexvec ->
-        let vloop = Result.get_ok (Fv_vectorizer.Gen.vectorize l) in
-        ignore (Fv_simd.Exec.run ~emit:sink vloop m e));
-    sink
+  (* each leg through the runner, which replays it with the stream
+     prefetcher (depth 4) and, through [obs], keeps its trace *)
+  let leg strategy =
+    let obs = E.obs () in
+    let r = E.run_workload ~obs ~invocations:1 ~seed strategy build in
+    (r.E.cycles, Option.get obs.E.o_trace)
   in
-  let scalar_trace = trace `Scalar and flexvec_trace = trace `Flexvec in
-  (* both points replay the same two traces; Pipeline.run only reads
+  let scalar = leg E.Scalar and flexvec = leg E.Flexvec in
+  (* the depth-0 point replays the kept traces; Pipeline.run only reads
      the sink, so concurrent replay is safe *)
   Fv_parallel.Pool.map_ordered ?domains
     (fun prefetch ->
-      let depth = if prefetch then 4 else 0 in
       (* memoized: the prefetch depth is part of the cache key, so the
          two ablation points never alias *)
-      let run t =
-        (Fv_ooo.Simcache.stats ~prefetch_depth:depth t)
-          .Fv_ooo.Pipeline.cycles
+      let cycles (on, trace) =
+        if prefetch then on
+        else
+          (Fv_ooo.Simcache.stats ~prefetch_depth:0 trace)
+            .Fv_ooo.Pipeline.cycles
       in
-      let sc = run scalar_trace and fc = run flexvec_trace in
+      let sc = cycles scalar and fc = cycles flexvec in
       {
         prefetch;
         scalar_cycles2 = sc;

@@ -292,8 +292,3 @@ let run_iteration ?(hk = no_hooks) (mem : Fv_mem.Memory.t) (env : env)
       List.iter (exec_stmt st) l.body;
       `Ok
     with Break_exn -> `Break
-
-(** Run and return the live-out environment restricted to [l.live_out]. *)
-let run_live_out ?hk mem env l : int * (string * Value.t) list =
-  let trips = run ?hk mem env l in
-  (trips, List.map (fun v -> (v, env_get env v)) l.live_out)

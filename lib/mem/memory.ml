@@ -98,7 +98,6 @@ let find (m : t) name =
   | None -> invalid_arg (Printf.sprintf "Memory.find: unknown allocation %S" name)
 
 let base_of m name = (find m name).base
-let length_of m name = (find m name).len
 
 (** Element address of [name.(idx)] — no bounds check; the check happens
     at access time, which is what lets speculative lanes compute wild

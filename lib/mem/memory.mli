@@ -52,7 +52,6 @@ val alloc : t -> string -> Value.t array -> int
 val alloc_ints : t -> string -> int array -> int
 val alloc_floats : t -> string -> float array -> int
 val base_of : t -> string -> int
-val length_of : t -> string -> int
 
 (** Element address of [name.(idx)]; unchecked — the check happens at
     access time. *)

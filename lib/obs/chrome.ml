@@ -6,9 +6,10 @@
     ["ph":"M"] process/thread-name metadata. Timestamps are
     microseconds ([ts]/[dur] doubles); simulated-time exporters map one
     cycle to one microsecond so Perfetto's time axis reads directly as
-    cycles. This module is self-contained (its own minimal JSON
-    emission) so that leaf libraries can export traces without
-    depending on the report layer. *)
+    cycles. Each event is built as a {!Json.t} and written by
+    {!Json}, the one JSON emitter, which lives in this library so that
+    leaf libraries can export traces without depending on the report
+    layer. *)
 
 type event =
   | Slice of {
@@ -37,111 +38,56 @@ let slice ?(cat = "") ?(args = []) ~pid ~tid ~ts ~dur name =
 let instant ?(cat = "") ?(args = []) ~pid ~tid ~ts name =
   Instant { name; cat; pid; tid; ts; args }
 
-(* ---- minimal JSON emission ---- *)
+(* a timestamp the trace viewer can place: a non-finite one (never
+   produced by the clock) is written as 0, not as JSON's null *)
+let num (f : float) : Json.t =
+  if Float.is_finite f then Json.Float f else Json.Int 0
 
-let escape (s : string) : string =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* the fields every event starts with *)
+let common ~name ~cat ~ph ~pid ~tid ~ts =
+  (("name", Json.Str name)
+  :: (if cat <> "" then [ ("cat", Json.Str cat) ] else []))
+  @ [
+      ("ph", Json.Str ph);
+      ("pid", Json.Int pid);
+      ("tid", Json.Int tid);
+      ("ts", num ts);
+    ]
 
-let add_str buf s =
-  Buffer.add_char buf '"';
-  Buffer.add_string buf (escape s);
-  Buffer.add_char buf '"'
+let args_field (args : (string * string) list) =
+  if args = [] then []
+  else [ ("args", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) args)) ]
 
-let add_num buf (f : float) =
-  if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.12g" f)
-  else Buffer.add_char buf '0'
+(* a ["ph":"M"] record naming a process or thread track *)
+let metadata kind ~pid ~tid name =
+  Json.Obj
+    (common ~name:kind ~cat:"" ~ph:"M" ~pid ~tid ~ts:0.0
+    @ args_field [ ("name", name) ])
 
-let add_args buf (args : (string * string) list) =
-  Buffer.add_string buf "{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      add_str buf k;
-      Buffer.add_char buf ':';
-      add_str buf v)
-    args;
-  Buffer.add_char buf '}'
-
-let add_common buf ~name ~cat ~ph ~pid ~tid ~ts =
-  Buffer.add_string buf "{\"name\":";
-  add_str buf name;
-  if cat <> "" then begin
-    Buffer.add_string buf ",\"cat\":";
-    add_str buf cat
-  end;
-  Buffer.add_string buf ",\"ph\":";
-  add_str buf ph;
-  Buffer.add_string buf ",\"pid\":";
-  Buffer.add_string buf (string_of_int pid);
-  Buffer.add_string buf ",\"tid\":";
-  Buffer.add_string buf (string_of_int tid);
-  Buffer.add_string buf ",\"ts\":";
-  add_num buf ts
-
-let write_event buf = function
+let json_of_event : event -> Json.t = function
   | Slice { name; cat; pid; tid; ts; dur; args } ->
-      add_common buf ~name ~cat ~ph:"X" ~pid ~tid ~ts;
-      Buffer.add_string buf ",\"dur\":";
-      add_num buf dur;
-      if args <> [] then begin
-        Buffer.add_string buf ",\"args\":";
-        add_args buf args
-      end;
-      Buffer.add_char buf '}'
+      Json.Obj
+        (common ~name ~cat ~ph:"X" ~pid ~tid ~ts
+        @ (("dur", num dur) :: args_field args))
   | Instant { name; cat; pid; tid; ts; args } ->
-      add_common buf ~name ~cat ~ph:"i" ~pid ~tid ~ts;
       (* "s":"t": thread-scoped instant *)
-      Buffer.add_string buf ",\"s\":\"t\"";
-      if args <> [] then begin
-        Buffer.add_string buf ",\"args\":";
-        add_args buf args
-      end;
-      Buffer.add_char buf '}'
-  | Process_name { pid; name } ->
-      add_common buf ~name:"process_name" ~cat:"" ~ph:"M" ~pid ~tid:0 ~ts:0.0;
-      Buffer.add_string buf ",\"args\":";
-      add_args buf [ ("name", name) ];
-      Buffer.add_char buf '}'
-  | Thread_name { pid; tid; name } ->
-      add_common buf ~name:"thread_name" ~cat:"" ~ph:"M" ~pid ~tid ~ts:0.0;
-      Buffer.add_string buf ",\"args\":";
-      add_args buf [ ("name", name) ];
-      Buffer.add_char buf '}'
+      Json.Obj
+        (common ~name ~cat ~ph:"i" ~pid ~tid ~ts
+        @ (("s", Json.Str "t") :: args_field args))
+  | Process_name { pid; name } -> metadata "process_name" ~pid ~tid:0 name
+  | Thread_name { pid; tid; name } -> metadata "thread_name" ~pid ~tid name
 
-let write (buf : Buffer.t) (events : event list) : unit =
-  Buffer.add_string buf "{\"traceEvents\":[";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      write_event buf e)
-    events;
-  Buffer.add_string buf "],\"displayTimeUnit\":\"ms\"}"
+let to_json (events : event list) : Json.t =
+  Json.Obj
+    [
+      ("traceEvents", Json.List (List.map json_of_event events));
+      ("displayTimeUnit", Json.Str "ms");
+    ]
 
-let to_string (events : event list) : string =
-  let buf = Buffer.create 65536 in
-  write buf events;
-  Buffer.contents buf
+let to_string (events : event list) : string = Json.to_string (to_json events)
 
 let to_file (path : string) (events : event list) : unit =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (to_string events);
-      output_char oc '\n')
+  Json.to_file path (to_json events)
 
 (** Convert host-clock span events into trace events, with timestamps
     rebased to [t_base] (seconds, typically the recorder's install

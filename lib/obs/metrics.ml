@@ -225,6 +225,52 @@ let reset (t : t) : unit =
       t.shards <- [];
       Hashtbl.reset t.retired)
 
+(** [total snaps name]: the count of series [name] summed over its
+    label sets (0 when absent). For a counter this is its value; tests
+    and drills read a counter's growth as the difference of two
+    totals. *)
+let total (snaps : snap list) (name : string) : int =
+  List.fold_left
+    (fun acc s -> if String.equal s.s_name name then acc + s.s_count else acc)
+    0 snaps
+
+(** [quantile_bound ~p ~before ~after name]: the upper bound (seconds)
+    of the bucket holding the [p]-quantile of the observations histogram
+    [name] received between two snapshots, buckets summed across label
+    sets. 0 when [after] has no such histogram; 100 when the quantile
+    lies past the last finite bucket. *)
+let quantile_bound ~(p : float) ~(before : snap list) ~(after : snap list)
+    (name : string) : float =
+  let buckets snaps =
+    let tbl = Hashtbl.create 16 in
+    List.iter
+      (fun s ->
+        if String.equal s.s_name name then
+          List.iter
+            (fun (bound, c) ->
+              Hashtbl.replace tbl bound
+                (c + Option.value ~default:0 (Hashtbl.find_opt tbl bound)))
+            s.s_buckets)
+      snaps;
+    tbl
+  in
+  let b0 = buckets before and b1 = buckets after in
+  let bounds =
+    List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) b1 [])
+  in
+  let delta bound =
+    Option.value ~default:0 (Hashtbl.find_opt b1 bound)
+    - Option.value ~default:0 (Hashtbl.find_opt b0 bound)
+  in
+  match List.rev bounds with
+  | [] -> 0.0
+  | last :: _ ->
+      let total = delta last in
+      let need = int_of_float (ceil (p *. float_of_int total)) |> max 1 in
+      let hit = List.find_opt (fun bound -> delta bound >= need) bounds in
+      let b = Option.value ~default:last hit in
+      if Float.is_finite b then b else 100.0
+
 let pp_snap ppf (s : snap) =
   Fmt.pf ppf "%s%a %s count=%d sum=%g" s.s_name
     Fmt.(

@@ -28,11 +28,6 @@ type t = {
   edges : edge list;
 }
 
-let is_loop_carried (e : edge) =
-  match e.kind with
-  | Carried_flow _ | Mem _ | Mem_static _ | Break_control -> true
-  | Control | Flow _ -> false
-
 (* ------------------------------------------------------------------ *)
 (* Data dependence                                                     *)
 (* ------------------------------------------------------------------ *)

@@ -1,6 +1,7 @@
 (** Deterministic request streams for the load bench and the CI smoke:
-    well-formed fuzz-generator cases rendered as wire requests, and the
-    pipe driver that serves a stream through the server loop. *)
+    well-formed fuzz-generator cases rendered as wire requests, the
+    pipe driver that serves a stream through the server loop, and the
+    one measurement of a served stream ({!drive}) with its readings. *)
 
 module Sexp = Fv_fuzz.Sexp
 module Corpus = Fv_fuzz.Corpus
@@ -114,3 +115,55 @@ let serve_lines ?rate (scfg : Service.cfg) (o : Server.opts)
       Unix.close r;
       Domain.join writer;
       In_channel.with_open_text path In_channel.input_lines)
+
+(** One measured serve of a stream: the responses in the order the
+    server wrote them, the serve's wall seconds, and the global metrics
+    snapshots taken just before and just after it. *)
+type run = {
+  responses : string list;
+  wall_s : float;
+  before : Fv_obs.Metrics.snap list;
+  after : Fv_obs.Metrics.snap list;
+}
+
+(** Serve [lines] through {!serve_lines} (paced at [rate] lines per
+    second if given) after clearing any earlier shutdown request, timed
+    on {!Fv_obs.Clock} and bracketed by two snapshots of
+    {!Fv_obs.Metrics.global}. *)
+let drive ?rate (scfg : Service.cfg) (o : Server.opts) (lines : string list) :
+    run =
+  Server.reset_shutdown ();
+  let before = Fv_obs.Metrics.snapshot Fv_obs.Metrics.global in
+  let t0 = Fv_obs.Clock.now () in
+  let responses = serve_lines ?rate scfg o lines in
+  let wall_s = Fv_obs.Clock.elapsed ~since:t0 in
+  let after = Fv_obs.Metrics.snapshot Fv_obs.Metrics.global in
+  { responses; wall_s; before; after }
+
+(** How much counter [name] grew during the run. *)
+let delta (r : run) (name : string) : int =
+  Fv_obs.Metrics.total r.after name - Fv_obs.Metrics.total r.before name
+
+(** Responses whose status is [status]. *)
+let count (r : run) (status : string) : int =
+  List.length
+    (List.filter (fun l -> Client.status_of_response l = Some status)
+       r.responses)
+
+(** [(id, response)] for every response that carries an id. *)
+let by_id (r : run) : (string * string) list =
+  List.filter_map
+    (fun l -> Option.map (fun id -> (id, l)) (Client.response_field l "id"))
+    r.responses
+
+(** The differential oracle over two runs of one stream: the [ok]
+    responses of [r] whose bytes differ from [baseline]'s response to
+    the same id (or that [baseline] never answered). Faults may fail a
+    request; they must never change an answer. *)
+let mismatches ~(baseline : run) (r : run) : string list =
+  let base = by_id baseline in
+  List.filter_map
+    (fun (id, l) ->
+      let ok = Client.status_of_response l = Some "ok" in
+      if ok && List.assoc_opt id base <> Some l then Some l else None)
+    (by_id r)

@@ -331,13 +331,6 @@ let compile_rejected_body ~cached (d : Fv_ir.Validate.diagnostic) :
     Sexp.List [ Sexp.Atom "cached"; bool_atom cached ]; sexp_of_diagnostic d;
   ]
 
-(* an arm atom, distinguishing rtm tiles: scalar|traditional|flexvec|
-   wholesale|rtm:N *)
-let arm_atom (s : E.strategy) : string =
-  match E.choice_of_strategy s with
-  | Some c -> Fv_auto.Model.atom_of_choice c
-  | None -> "auto"
-
 (** The rationale of an auto decision: the chosen arm, the feature
     vector it was chosen on, and every arm's predicted cycles. Rendered
     into compile/simulate response bodies — and therefore into the plan
@@ -347,7 +340,8 @@ let arm_atom (s : E.strategy) : string =
 let auto_sexp ?(static = false) (p : E.auto_pick) : Sexp.t =
   Sexp.List
     ((Sexp.Atom "auto"
-      :: Sexp.List [ Sexp.Atom "chosen"; Sexp.Atom (arm_atom p.E.a_chosen) ]
+      :: Sexp.List
+           [ Sexp.Atom "chosen"; Sexp.Atom (E.strategy_atom p.E.a_chosen) ]
       :: Sexp.List
            [
              Sexp.Atom "predicted-cycles";
@@ -368,7 +362,7 @@ let auto_sexp ?(static = false) (p : E.auto_pick) : Sexp.t =
           :: List.map
                (fun (s, c) ->
                  Sexp.List
-                   [ Sexp.Atom (arm_atom s);
+                   [ Sexp.Atom (E.strategy_atom s);
                      Sexp.Atom (Printf.sprintf "%.1f" c);
                    ])
                p.E.a_predicted);

@@ -193,6 +193,9 @@ let run ?budget ?emit ?annot ?(capacity_elems = 6144) ~(tile : int)
     attempt 0;
     t0 := !t0 + tile
   done;
+  (* a zero-trip loop starts no tile; its one pass through the vector
+     code records the bounds check a first-faulting run records *)
+  if lo >= hi then total := Exec.run ?budget ?emit ?annot vloop mem env;
   { tiles = !tiles; commits = !commits; aborts = !aborts;
     capacity_aborts = !capacity_aborts; retries = !retry_count;
     retried_commits = !retried_commits; scalar_iters = !scalar_iters;

@@ -35,15 +35,7 @@ let test_decisions_domain_deterministic () =
   Alcotest.(check string)
     "same decisions at 1 and 4 domains" (show_picks one) (show_picks four);
   (* the decision roll is observable: every pick above counted *)
-  let decisions =
-    List.fold_left
-      (fun acc (s : Fv_obs.Metrics.snap) ->
-        if s.Fv_obs.Metrics.s_name = "auto_decisions" then
-          acc + s.Fv_obs.Metrics.s_count
-        else acc)
-      0
-      (Fv_obs.Metrics.snapshot Fv_obs.Metrics.global)
-  in
+  let decisions = Fv_obs.Metrics.(total (snapshot global) "auto_decisions") in
   Alcotest.(check bool)
     "auto_decisions counter rolled" true
     (decisions >= 2 * List.length R.all)
@@ -126,14 +118,7 @@ let contains ~needle hay =
   nn = 0 || go 0
 
 let counter name =
-  match
-    List.find_opt
-      (fun s ->
-        s.Fv_obs.Metrics.s_name = name && s.Fv_obs.Metrics.s_labels = [])
-      (Fv_obs.Metrics.snapshot Fv_obs.Metrics.global)
-  with
-  | Some s -> s.Fv_obs.Metrics.s_count
-  | None -> 0
+  Fv_obs.Metrics.(total (snapshot global) name)
 
 let auto_case_line (cs : Gen.case) : string =
   Sexp.to_line

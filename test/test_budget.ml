@@ -93,11 +93,7 @@ let test_pool_clean_early_return () =
      is armed (it never fires) so the elements run on worker domains
      under the caller's supervision even on a single core. *)
   let restarts () =
-    List.fold_left
-      (fun acc (s : Fv_obs.Metrics.snap) ->
-        if s.s_name = "pool_worker_restarts" then acc + s.s_count else acc)
-      0
-      (Fv_obs.Metrics.snapshot Fv_obs.Metrics.global)
+    Fv_obs.Metrics.(total (snapshot global) "pool_worker_restarts")
   in
   let before = restarts () in
   let events = ref 0 in

@@ -82,9 +82,10 @@ let test_differential_oracle () =
       queue_cap = 4096;
     }
   in
-  let baseline = Loadgen.serve_lines (fresh_cfg ()) base_opts lines in
-  Alcotest.(check int) "baseline answers everything" n (List.length baseline);
-  let base_by_id = List.map (fun r -> (field "id" r, r)) baseline in
+  let baseline = Loadgen.drive (fresh_cfg ()) base_opts lines in
+  Alcotest.(check int) "baseline answers everything" n
+    (List.length baseline.responses);
+  let base_by_id = Loadgen.by_id baseline in
   List.iter
     (fun seed ->
       let chaos =
@@ -93,16 +94,14 @@ let test_differential_oracle () =
       let o =
         { base_opts with row_timeout = Some 0.02; chaos = Some chaos }
       in
-      let responses = Loadgen.serve_lines (fresh_cfg ()) o lines in
+      let run = Loadgen.drive (fresh_cfg ()) o lines in
       Alcotest.(check int)
         (Printf.sprintf "seed %d: every request answered exactly once" seed)
-        n (List.length responses);
+        n (List.length run.responses);
       (* recompute the plan to learn which ordinals were injected;
          admission order is line order here (nothing sheds) *)
       let injected_ids =
-        List.filteri
-          (fun i line -> Chaos.action chaos ~line ~ordinal:i <> Chaos.Pass)
-          lines
+        Chaos.injected chaos lines
         |> List.map (fun line ->
                match Server.id_of_frame line with
                | Some id -> id
@@ -112,16 +111,7 @@ let test_differential_oracle () =
         (Printf.sprintf "seed %d: chaos actually injected" seed)
         true
         (List.length injected_ids > 0);
-      let mismatches =
-        List.filter
-          (fun r ->
-            String.equal (field "status" r) "ok"
-            && not
-                 (match List.assoc_opt (field "id" r) base_by_id with
-                 | Some b -> String.equal b r
-                 | None -> false))
-          responses
-      in
+      let mismatches = Loadgen.mismatches ~baseline run in
       List.iter (fun r -> Printf.eprintf "oracle mismatch: %s\n" r) mismatches;
       Alcotest.(check int)
         (Printf.sprintf "seed %d: ok responses byte-identical to baseline" seed)
@@ -134,7 +124,7 @@ let test_differential_oracle () =
             && match List.assoc_opt id base_by_id with
                | Some b -> String.equal b r
                | None -> false)
-          responses
+          run.responses
       in
       let non_injected = n - List.length injected_ids in
       let avail =
@@ -234,6 +224,38 @@ let test_quarantine_table_bounded () =
   Alcotest.(check int) "never-struck line reads zero" 0
     (Quarantine.strikes qt ~line:"unseen")
 
+(* The oracle's reading of two runs: an [ok] answer whose bytes differ
+   from the baseline's answer to the same id (or that the baseline
+   never gave) is a mismatch; an answer chaos failed is not. *)
+let test_mismatches () =
+  let run responses =
+    { Loadgen.responses; wall_s = 0.0; before = []; after = [] }
+  in
+  let baseline =
+    run
+      [
+        "(response (id a) (status ok) (x 1))";
+        "(response (id b) (status ok) (x 2))";
+        "(response (id c) (status ok) (x 3))";
+      ]
+  in
+  let changed = "(response (id b) (status ok) (x 9))"
+  and unanswered = "(response (id d) (status ok) (x 4))" in
+  let chaos =
+    run
+      [
+        "(response (id a) (status ok) (x 1))";
+        changed;
+        "(response (id c) (status deadline-exceeded))";
+        unanswered;
+      ]
+  in
+  Alcotest.(check (list string))
+    "the changed ok answer and the unanswered id" [ changed; unanswered ]
+    (Loadgen.mismatches ~baseline chaos);
+  Alcotest.(check (list string)) "a run against itself" []
+    (Loadgen.mismatches ~baseline baseline)
+
 let suite =
   [
     Alcotest.test_case "chaos plan is pure and seeded" `Quick
@@ -244,4 +266,6 @@ let suite =
       test_quarantine_arc;
     Alcotest.test_case "quarantine table is bounded" `Quick
       test_quarantine_table_bounded;
+    Alcotest.test_case "oracle: only changed ok answers mismatch" `Quick
+      test_mismatches;
   ]

@@ -134,6 +134,24 @@ let test_rtm_gated_by_rtm () =
            b.Fv_workloads.Kernels.mem b.Fv_workloads.Kernels.env))
     R.all
 
+(* a zero-trip loop starts no transactional tile, yet its RTM run must
+   record the bounds check its first-faulting run records, not an empty
+   trace that the speedup clamps to one cycle *)
+let test_rtm_zero_trip () =
+  let l =
+    Fv_ir.Builder.(
+      loop ~name:"z" ~index:"i" ~hi:(int 0) ~live_out:[ "t" ]
+        [ assign "t" (load "a" (var "i")) ])
+  in
+  let mem = Fv_mem.Memory.create () in
+  ignore (Fv_mem.Memory.alloc_ints mem "a" [| 1; 2; 3; 4 |]);
+  let ff = E.run_hot E.Flexvec l mem [] in
+  let rtm = E.run_hot (E.Rtm 256) l mem [] in
+  Alcotest.(check string) "rtm vectorized" "vectorized"
+    (E.show_compile_status rtm.E.compile);
+  Alcotest.(check int) "uops" ff.E.uops rtm.E.uops;
+  Alcotest.(check int) "cycles" ff.E.cycles rtm.E.cycles
+
 let suite =
   [
     Alcotest.test_case "all strategies execute" `Quick test_all_strategies_run;
@@ -150,4 +168,6 @@ let suite =
       test_exec_sums_invocations;
     Alcotest.test_case "RTM legs gated by the RTM executor" `Quick
       test_rtm_gated_by_rtm;
+    Alcotest.test_case "a zero-trip RTM run records the bounds check"
+      `Quick test_rtm_zero_trip;
   ]

@@ -190,13 +190,7 @@ let test_metrics_snapshot_reset () =
    replacement. *)
 let test_metrics_retire_exactly_once () =
   let m = Metrics.create () in
-  let count name =
-    match
-      List.find_opt (fun s -> s.Metrics.s_name = name) (Metrics.snapshot m)
-    with
-    | Some s -> s.Metrics.s_count
-    | None -> 0
-  in
+  let count name = Metrics.total (Metrics.snapshot m) name in
   let gauge_of name =
     match
       List.find_opt (fun s -> s.Metrics.s_name = name) (Metrics.snapshot m)
@@ -566,6 +560,45 @@ let test_harness_trace_out () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "missing value accepted"
 
+(* ---------------- snapshot readings ---------------- *)
+
+let test_metrics_total_sums_label_sets () =
+  let m = Metrics.create () in
+  Metrics.incr m ~by:2 "req";
+  Metrics.incr m ~labels:[ ("op", "compile") ] ~by:3 "req";
+  Metrics.incr m ~labels:[ ("op", "simulate") ] "req";
+  Metrics.incr m ~by:7 "other";
+  let snaps = Metrics.snapshot m in
+  Alcotest.(check int) "summed over label sets" 6 (Metrics.total snaps "req");
+  Alcotest.(check int) "an absent series reads 0" 0
+    (Metrics.total snaps "missing")
+
+(* the bound reads the observations made between the two snapshots:
+   the 200 fast ones before the window would otherwise hold the
+   median *)
+let test_metrics_quantile_bound () =
+  let m = Metrics.create () in
+  let observe ?labels k v =
+    for _ = 1 to k do
+      Metrics.observe ?labels m "t" v
+    done
+  in
+  observe 200 5e-6;
+  let before = Metrics.snapshot m in
+  observe ~labels:[ ("status", "ok") ] 90 5e-4;
+  observe ~labels:[ ("status", "error") ] 10 0.05;
+  let after = Metrics.snapshot m in
+  let bound p = Metrics.quantile_bound ~p ~before ~after "t" in
+  Alcotest.(check (float 0.0)) "p50 in the 1 ms bucket" 1e-3 (bound 0.5);
+  Alcotest.(check (float 0.0)) "p90 still in it" 1e-3 (bound 0.9);
+  Alcotest.(check (float 0.0)) "p99 in the 100 ms bucket" 0.1 (bound 0.99);
+  observe 10 1e9;
+  Alcotest.(check (float 0.0)) "past the last finite bucket" 100.0
+    (Metrics.quantile_bound ~p:0.99 ~before:after ~after:(Metrics.snapshot m)
+       "t");
+  Alcotest.(check (float 0.0)) "an absent histogram" 0.0
+    (Metrics.quantile_bound ~p:0.5 ~before ~after "missing")
+
 let suite =
   [
     Alcotest.test_case "dynbuf: grow, access, clear" `Quick test_dynbuf_grow;
@@ -604,4 +637,8 @@ let suite =
     Alcotest.test_case "registry: did-you-mean suggestions" `Quick
       test_registry_suggest;
     Alcotest.test_case "harness: --trace-out" `Quick test_harness_trace_out;
+    Alcotest.test_case "metrics: total sums label sets" `Quick
+      test_metrics_total_sums_label_sets;
+    Alcotest.test_case "metrics: quantile bound of a snapshot delta" `Quick
+      test_metrics_quantile_bound;
   ]

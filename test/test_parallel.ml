@@ -49,11 +49,7 @@ let test_exception_propagation () =
 
 (* pool_worker_restarts from the global registry: tests read deltas *)
 let restarts () =
-  List.fold_left
-    (fun acc (s : Fv_obs.Metrics.snap) ->
-      if s.s_name = "pool_worker_restarts" then acc + s.s_count else acc)
-    0
-    (Fv_obs.Metrics.snapshot Fv_obs.Metrics.global)
+  Fv_obs.Metrics.(total (snapshot global) "pool_worker_restarts")
 
 let test_map_captures_failures () =
   (* a raising element becomes an [Error (Raised _)] row in its input
@@ -506,9 +502,7 @@ let test_figure8_poisoned_row_degrades () =
   Alcotest.(check bool) "spec geomean over survivors is finite" true
     (Float.is_finite r.spec_geomean && r.spec_geomean > 0.0);
   (* the JSON report can still be rendered and records the failure *)
-  let s =
-    Fv_core.Report.Json.to_string (Fv_core.Report.Json.of_figure8_result r)
-  in
+  let s = Fv_core.Report.Json.(to_string (Obj (of_figure8_result r))) in
   List.iter
     (fun needle ->
       Alcotest.(check bool) (Printf.sprintf "json has %s" needle) true

@@ -15,14 +15,7 @@ module Loadgen = Fv_serve.Loadgen
 module E = Fv_core.Experiment
 
 let counter name =
-  match
-    List.find_opt
-      (fun s ->
-        s.Fv_obs.Metrics.s_name = name && s.Fv_obs.Metrics.s_labels = [])
-      (Fv_obs.Metrics.snapshot Fv_obs.Metrics.global)
-  with
-  | Some s -> s.Fv_obs.Metrics.s_count
-  | None -> 0
+  Fv_obs.Metrics.(total (snapshot global) name)
 
 (* a service with fresh (small, private) caches per test *)
 let fresh_cfg ?deadline_ms ?max_request_bytes ?admission () =

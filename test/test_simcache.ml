@@ -19,14 +19,7 @@ module K = Fv_workloads.Kernels
 module R = Fv_workloads.Registry
 
 let counter name =
-  match
-    List.find_opt
-      (fun s ->
-        s.Fv_obs.Metrics.s_name = name && s.Fv_obs.Metrics.s_labels = [])
-      (Fv_obs.Metrics.snapshot Fv_obs.Metrics.global)
-  with
-  | Some s -> s.Fv_obs.Metrics.s_count
-  | None -> 0
+  Fv_obs.Metrics.(total (snapshot global) name)
 
 (* one kernel invocation traced under a strategy, with an optional
    fault plan attached to the traced memory (FlexVec only — mirroring
