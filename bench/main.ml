@@ -338,10 +338,9 @@ let strategies (plan : Harness.plan) (_ : bar) =
         ] );
   ]
 
-let prefetch_ablation (plan : Harness.plan) (_ : bar) =
-  let domains = plan.Harness.domains in
+let prefetch_ablation (_ : Harness.plan) (_ : bar) =
   section "prefetch-ablation: the memory subsystem matters for vector access (§5)";
-  let pts = Sweeps.prefetch_ablation ?domains () in
+  let pts = Sweeps.prefetch_ablation () in
   let rows =
     [ "Prefetcher"; "Scalar cycles"; "FlexVec cycles"; "Speedup" ]
     :: List.map
@@ -921,7 +920,8 @@ let chaos_bench (plan : Harness.plan) (bar : bar) =
        Unix.rmdir qdir
      with Sys_error _ | Unix.Unix_error _ -> ());
     let injected =
-      Option.fold ~none:[]
+      Option.fold
+        ~none:(List.map (fun _ -> false) lines)
         ~some:(fun c -> Fv_serve.Chaos.injected c lines)
         chaos
     in
@@ -930,9 +930,8 @@ let chaos_bench (plan : Harness.plan) (bar : bar) =
        chaos plan left alone must come back ok *)
     let spared =
       List.filter_map
-        (fun l ->
-          if List.mem l injected then None else Client.response_field l "id")
-        lines
+        (fun (l, hit) -> if hit then None else Client.response_field l "id")
+        (List.combine lines injected)
     in
     let spared_ok =
       List.filter
@@ -950,7 +949,7 @@ let chaos_bench (plan : Harness.plan) (bar : bar) =
         c_deadline = count "deadline-exceeded";
         c_error = count "error";
         c_overloaded = count "overloaded";
-        c_injected = List.length injected;
+        c_injected = List.length (List.filter Fun.id injected);
         c_availability =
           float_of_int (List.length spared_ok)
           /. float_of_int (max 1 (List.length spared));

@@ -202,37 +202,30 @@ type prefetch_point = {
     same traces against a hierarchy without the stream prefetcher: both
     versions get slower, the wide unit-stride vector accesses much more
     so. *)
-let prefetch_ablation ?(trip = 4096) ?(seed = 29) ?domains () :
-    prefetch_point list =
+let prefetch_ablation ?(trip = 4096) ?(seed = 29) () : prefetch_point list =
   let build s = tunable_cond_update ~trip ~update_rate:0.01 ~near_rate:0.2 s in
   (* each leg through the runner, which replays it with the stream
-     prefetcher (depth 4) and, through [obs], keeps its trace *)
+     prefetcher (depth 4) and, through [obs], keeps its trace; the
+     depth-0 point replays that trace (memoized: the prefetch depth is
+     part of the cache key, so the two points never alias) *)
   let leg strategy =
     let obs = E.obs () in
     let r = E.run_workload ~obs ~invocations:1 ~seed strategy build in
-    (r.E.cycles, Option.get obs.E.o_trace)
+    let off =
+      Fv_ooo.Simcache.stats ~prefetch_depth:0 (Option.get obs.E.o_trace)
+    in
+    (r.E.cycles, off.Fv_ooo.Pipeline.cycles)
   in
-  let scalar = leg E.Scalar and flexvec = leg E.Flexvec in
-  (* the depth-0 point replays the kept traces; Pipeline.run only reads
-     the sink, so concurrent replay is safe *)
-  Fv_parallel.Pool.map_ordered ?domains
-    (fun prefetch ->
-      (* memoized: the prefetch depth is part of the cache key, so the
-         two ablation points never alias *)
-      let cycles (on, trace) =
-        if prefetch then on
-        else
-          (Fv_ooo.Simcache.stats ~prefetch_depth:0 trace)
-            .Fv_ooo.Pipeline.cycles
-      in
-      let sc = cycles scalar and fc = cycles flexvec in
-      {
-        prefetch;
-        scalar_cycles2 = sc;
-        flexvec_cycles2 = fc;
-        speedup2 = float_of_int sc /. float_of_int (max 1 fc);
-      })
-    [ true; false ]
+  let point prefetch sc fc =
+    {
+      prefetch;
+      scalar_cycles2 = sc;
+      flexvec_cycles2 = fc;
+      speedup2 = float_of_int sc /. float_of_int (max 1 fc);
+    }
+  in
+  let s_on, s_off = leg E.Scalar and f_on, f_off = leg E.Flexvec in
+  [ point true s_on f_on; point false s_off f_off ]
 
 (* ------------------------------------------------------------------ *)
 (* Per-benchmark strategy comparison                                   *)

@@ -86,12 +86,12 @@ let action (t : t) ~(line : string) ~(ordinal : int) : action =
         else Die
       else Pass
 
-(** The lines of [lines] the plan perturbs, when they are admitted in
-    this order (as they are when nothing sheds): what a harness
-    recomputes after a run to know which answers chaos may have
-    failed. *)
-let injected (t : t) (lines : string list) : string list =
-  List.filteri (fun i line -> action t ~line ~ordinal:i <> Pass) lines
+(** One flag per line of [lines]: whether the plan perturbs the request
+    admitted at that ordinal, when they are admitted in this order (as
+    they are when nothing sheds). What a harness recomputes after a run
+    to know which answers chaos may have failed. *)
+let injected (t : t) (lines : string list) : bool list =
+  List.mapi (fun i line -> action t ~line ~ordinal:i <> Pass) lines
 
 (** Run in the worker just before handling: sleep or die. *)
 let perturb (t : t) ~(line : string) ~(ordinal : int) : unit =

@@ -82,9 +82,14 @@ let test_differential_oracle () =
       queue_cap = 4096;
     }
   in
+  (* every response names its request and its status *)
+  let well_formed (run : Loadgen.run) =
+    List.iter (fun r -> ignore (field "id" r, field "status" r)) run.responses
+  in
   let baseline = Loadgen.drive (fresh_cfg ()) base_opts lines in
   Alcotest.(check int) "baseline answers everything" n
     (List.length baseline.responses);
+  well_formed baseline;
   let base_by_id = Loadgen.by_id baseline in
   List.iter
     (fun seed ->
@@ -98,14 +103,17 @@ let test_differential_oracle () =
       Alcotest.(check int)
         (Printf.sprintf "seed %d: every request answered exactly once" seed)
         n (List.length run.responses);
+      well_formed run;
       (* recompute the plan to learn which ordinals were injected;
          admission order is line order here (nothing sheds) *)
       let injected_ids =
-        Chaos.injected chaos lines
-        |> List.map (fun line ->
-               match Server.id_of_frame line with
-               | Some id -> id
-               | None -> Alcotest.fail "request line without id")
+        List.combine lines (Chaos.injected chaos lines)
+        |> List.filter_map (fun (line, hit) ->
+               if not hit then None
+               else
+                 match Server.id_of_frame line with
+                 | Some id -> Some id
+                 | None -> Alcotest.fail "request line without id")
       in
       Alcotest.(check bool)
         (Printf.sprintf "seed %d: chaos actually injected" seed)

@@ -235,35 +235,11 @@ let test_batcher_expiry () =
 
 (* ---------------- end-to-end through the server loop ---------------- *)
 
-(* Write [lines] into a pipe, serve it to EOF, read the responses. *)
+(* Serve [lines] to EOF through the one pipe driver, on a fresh
+   service config unless [cfg] is given. *)
 let serve_lines ?(cfg = fresh_cfg ()) (o : Server.opts) (lines : string list) :
     string list =
-  let r, w = Unix.pipe () in
-  let wc = Unix.out_channel_of_descr w in
-  List.iter
-    (fun l ->
-      output_string wc l;
-      output_char wc '\n')
-    lines;
-  flush wc;
-  close_out wc;
-  let path = Filename.temp_file "serve_test" ".out" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      let out = open_out path in
-      Server.serve_fd cfg o ~in_fd:r ~out;
-      close_out out;
-      Unix.close r;
-      let ic = open_in path in
-      let rec slurp acc =
-        match input_line ic with
-        | l -> slurp (l :: acc)
-        | exception End_of_file -> List.rev acc
-      in
-      let resp = slurp [] in
-      close_in ic;
-      resp)
+  Loadgen.serve_lines cfg o lines
 
 (* Backpressure: flood a tiny queue; every request is answered exactly
    once — some [overloaded], the rest for real — and the server neither
