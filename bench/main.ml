@@ -24,27 +24,22 @@
      overload       — the serve loop at 0.5x to 4x its measured capacity
 
    Run a subset with:   bench/main.exe table2 figure8
-   Options (validated up front, before anything runs):
-     --domains N    worker domains for the parallel sections
-     --json FILE    write a combined JSON report of every section run
-     --fault-rate R inject faults with per-access probability R into
-                    the recovery-capable strategies (default 0 = off)
-     --fault-seed N injection determinism seed (default 1)
-     --row-timeout S per-row wall-clock budget (seconds) for figure8,
-                    the only section that reads it: an overdue row is
-                    canceled cooperatively and becomes an error row
+   Options (validated up front, before anything runs), and no others:
+     --domains N     worker domains for the parallel sections
      --trace-out DIR one Chrome trace of host spans per section
-   Every section additionally writes BENCH_<section>.json (the
-   machine-readable trajectory file) next to the human tables.
+   Every section writes BENCH_<section>.json (the machine-readable
+   trajectory file) next to the human tables.
 
    Bars: each section checks the numbers it has just computed; a failed
    bar prints "BAR FAILED <section>: <what>".
      all      — the metrics snapshot is self-consistent (counter sum ==
                 count; histogram buckets cumulative, the last one +inf
                 and holding every observation)
-     figure8  — no hot run compiled below its requested strategy (a
-                front-end regression); the simulations went through
-                Simcache
+     figure8  — no row failed; no hot run compiled below its
+                requested strategy (a front-end regression); the
+                simulations went through Simcache
+     fault-sweep — no point failed (a point raises when its oracle
+                diverges under injection)
      serve    — per row: no failed warm request, the plan cache within
                 capacity, cold p50 >= 10x warm p50; restart drill: every
                 snapshotted entry restored, none corrupt, restored warm
@@ -89,7 +84,6 @@ let table1 (_ : Harness.plan) (_ : bar) =
     [ "Component"; "Configuration" ] :: List.map (fun (a, b) -> [ a; b ]) machine
   in
   print_string (Report.table rows);
-  print_newline ();
   let latencies =
     List.map
       (fun (name, cls) ->
@@ -122,10 +116,7 @@ let table1 (_ : Harness.plan) (_ : bar) =
 
 let figure8 (plan : Harness.plan) (bar : bar) =
   section "figure8: application speedup over the AVX-512 baseline";
-  let r =
-    Figure8.run ?domains:plan.Harness.domains
-      ?faults:(Harness.fault_plan plan) ?timeout_s:plan.Harness.row_timeout ()
-  in
+  let r = Figure8.run ?domains:plan.Harness.domains () in
   let rows =
     [ "Benchmark"; "Cvrg"; "Hot speedup"; "Overall"; "Vectorized?"; "Mix emitted" ]
     :: List.map
@@ -169,6 +160,8 @@ let figure8 (plan : Harness.plan) (bar : bar) =
   List.iter
     (fun (name, msg) -> Printf.printf "ERROR %s: row failed: %s\n" name msg)
     r.errors;
+  bar (r.errors = [])
+    ("rows failed: " ^ String.concat ", " (List.map fst r.errors));
   Printf.printf "\nGeomean (11 SPEC 2006): %.3fx   [paper: 1.09x]\n"
     r.spec_geomean;
   Printf.printf "Geomean (7 applications): %.3fx   [paper: 1.11x]\n\n"
@@ -211,10 +204,7 @@ let table2 (plan : Harness.plan) (_ : bar) =
 
 let rtm_sweep (plan : Harness.plan) (_ : bar) =
   section "rtm-sweep: transactional-speculation tile size (paper: 128-256 within 1-2% of FF)";
-  let pts =
-    Sweeps.rtm_tile_sweep ?domains:plan.Harness.domains
-      ?faults:(Harness.fault_plan plan) ()
-  in
+  let pts = Sweeps.rtm_tile_sweep ?domains:plan.Harness.domains () in
   let rows =
     [ "Tile"; "RTM cycles"; "FF cycles"; "RTM/FF"; "vs scalar" ]
     :: List.map
@@ -304,10 +294,7 @@ let vl_sweep (plan : Harness.plan) (_ : bar) =
 
 let strategies (plan : Harness.plan) (_ : bar) =
   section "strategies: Figure 8 under each speculation mechanism";
-  let pts =
-    Sweeps.benchmark_strategies ?domains:plan.Harness.domains
-      ?faults:(Harness.fault_plan plan) ()
-  in
+  let pts = Sweeps.benchmark_strategies ?domains:plan.Harness.domains () in
   let rows =
     [ "Benchmark"; "FlexVec (FF)"; "Wholesale (PACT'13)"; "FlexVec (RTM 256)" ]
     :: List.map
@@ -356,33 +343,18 @@ let prefetch_ablation (_ : Harness.plan) (_ : bar) =
   print_string (Report.table rows);
   [ ("rows", J.List (List.map J.of_prefetch_point pts)) ]
 
-let fault_sweep (plan : Harness.plan) (_ : bar) =
+let fault_sweep (plan : Harness.plan) (bar : bar) =
   section
     "fault-sweep: RTM abort / retry / scalar fallback under injected faults";
-  let rates = [ 0.0; 0.0005; 0.002; 0.008; 0.03 ] in
-  let tiles = [ 64; 256; 1024 ] in
-  let results =
-    Sweeps.fault_sweep ~rates ~tiles ~seed:plan.Harness.fault_seed
-      ?domains:plan.Harness.domains ()
-  in
-  let points =
-    List.concat_map (fun t -> List.map (fun r -> (t, r)) rates) tiles
-  in
-  let labelled = List.combine points results in
-  let ok_rows =
-    List.filter_map
-      (function _, Ok (p : Sweeps.fault_point) -> Some p | _, Error _ -> None)
-      labelled
-  in
-  let errors =
-    List.filter_map
+  let ok_rows, errors =
+    List.partition_map
       (function
+        | _, Ok (p : Sweeps.fault_point) -> Either.Left p
         | (tile, rate), Error f ->
-            Some
+            Either.Right
               ( Printf.sprintf "tile=%d rate=%g" tile rate,
-                Fv_parallel.Pool.failure_message f )
-        | _, Ok _ -> None)
-      labelled
+                Fv_parallel.Pool.failure_message f ))
+      (Sweeps.fault_sweep ?domains:plan.Harness.domains ())
   in
   let rows =
     [ "Tile"; "Rate"; "Tiles"; "Commits"; "Aborts"; "Cap."; "Retries";
@@ -409,6 +381,8 @@ let fault_sweep (plan : Harness.plan) (_ : bar) =
   List.iter
     (fun (label, msg) -> Printf.printf "ERROR %s: %s\n" label msg)
     errors;
+  bar (errors = [])
+    ("points failed: " ^ String.concat ", " (List.map fst errors));
   [
     ("rows", J.List (List.map J.of_fault_point ok_rows));
     ( "errors",
@@ -856,7 +830,7 @@ type chaos_row = {
 
 let chaos_bench (plan : Harness.plan) (bar : bar) =
   section "chaos: serve availability and byte-stability under injection";
-  let seed = plan.Harness.fault_seed in
+  let seed = 1 in
   let n = 300 in
   let cases = Fv_serve.Loadgen.distinct_cases ~n ~seed:5 in
   let base_lines =
@@ -1404,15 +1378,6 @@ let () =
       Printf.eprintf "%s\n" msg;
       exit 1
   | Ok plan ->
-      (* fail on an unwritable --json destination now, not after every
-         section has already burned its simulation time *)
-      (match plan.json with
-      | Some path -> (
-          try close_out (open_out path)
-          with Sys_error e ->
-            Printf.eprintf "--json: cannot write %s (%s)\n" path e;
-            exit 1)
-      | None -> ());
       let domains_used =
         match plan.domains with
         | Some d -> d
@@ -1433,50 +1398,34 @@ let () =
          section's snapshot covers exactly that section *)
       Fv_obs.Metrics.reset Fv_obs.Metrics.global;
       let failed_bars = ref 0 in
-      let reports =
-        List.map
-          (fun name ->
-            let t_base = Fv_obs.Clock.now () in
-            let f = List.assoc name sections in
-            let bar ok what =
-              if not ok then begin
-                Printf.printf "BAR FAILED %s: %s\n%!" name what;
-                incr failed_bars
-              end
-            in
-            let body, wall = Report.timed (fun () -> f plan bar) in
-            let metrics =
-              Fv_obs.Metrics.snapshot ~reset:true Fv_obs.Metrics.global
-            in
-            metrics_bars bar metrics;
-            let j =
-              J.report ~section:name ~domains:domains_used
-                ~fault_rate:plan.fault_rate ~fault_seed:plan.fault_seed
-                ?row_timeout:plan.row_timeout
-                ~metrics ~wall_seconds:wall body
-            in
-            J.to_file (Printf.sprintf "BENCH_%s.json" name) j;
-            (match (recorder, plan.trace_out) with
-            | Some r, Some dir ->
-                let spans = Fv_obs.Span.drain r in
-                Fv_obs.Chrome.to_file
-                  (Filename.concat dir
-                     (Printf.sprintf "trace_%s.json" name))
-                  (Fv_obs.Chrome.of_spans ~t_base spans)
-            | _ -> ());
-            j)
-          plan.sections
-      in
+      List.iter
+        (fun name ->
+          let t_base = Fv_obs.Clock.now () in
+          let f = List.assoc name sections in
+          let bar ok what =
+            if not ok then begin
+              Printf.printf "BAR FAILED %s: %s\n%!" name what;
+              incr failed_bars
+            end
+          in
+          let body, wall = Report.timed (fun () -> f plan bar) in
+          let metrics =
+            Fv_obs.Metrics.snapshot ~reset:true Fv_obs.Metrics.global
+          in
+          metrics_bars bar metrics;
+          J.to_file (Printf.sprintf "BENCH_%s.json" name)
+            (J.report ~section:name ~domains:domains_used ~metrics
+               ~wall_seconds:wall body);
+          (match (recorder, plan.trace_out) with
+          | Some r, Some dir ->
+              let spans = Fv_obs.Span.drain r in
+              Fv_obs.Chrome.to_file
+                (Filename.concat dir
+                   (Printf.sprintf "trace_%s.json" name))
+                (Fv_obs.Chrome.of_spans ~t_base spans)
+          | _ -> ()))
+        plan.sections;
       Option.iter (fun _ -> Fv_obs.Span.uninstall ()) recorder;
-      Option.iter
-        (fun path ->
-          J.to_file path
-            (J.Obj
-               [
-                 ("domains", J.Int domains_used);
-                 ("sections", J.List reports);
-               ]))
-        plan.json;
       if !failed_bars > 0 then begin
         Printf.eprintf "%d bar(s) failed\n" !failed_bars;
         exit 1

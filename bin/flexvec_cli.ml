@@ -194,25 +194,9 @@ let show_cmd =
 let profile_cmd =
   let run name seed =
     let spec = find_spec name in
-    let b = spec.build seed in
-    let probe =
-      Fv_profiler.Profile.profile ~invocations:(min spec.invocations 4)
-        b.K.loop b.K.mem b.K.env
-    in
-    let other =
-      int_of_float
-        (float_of_int probe.hot_uops *. (1. -. spec.coverage) /. spec.coverage)
-    in
-    let p =
-      Fv_profiler.Profile.profile ~invocations:(min spec.invocations 4)
-        ~other_uops:other b.K.loop b.K.mem b.K.env
-    in
+    let p = Fv_core.Figure8.profile spec (spec.build seed) in
     Fmt.pr "%a@." Fv_profiler.Profile.pp p;
-    let d =
-      Fv_vectorizer.Costmodel.decide ~avg_trip:p.avg_trip
-        ~effective_vl:p.effective_vl ~mem_ratio:p.mem_ratio
-        ~coverage:p.coverage ()
-    in
+    let d = Fv_core.Figure8.decide p in
     if d.vectorize then Fmt.pr "cost model: vectorize@."
     else Fmt.pr "cost model: do not vectorize (%s)@." (String.concat "; " d.reasons)
   in

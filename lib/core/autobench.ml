@@ -98,10 +98,9 @@ let kernel_row ?(vl = 16) ?(seed = 42) (spec : R.spec) : row =
   }
 
 (** Score every registry kernel; [domains] parallelizes across kernels.
-    Rows that fail (they never should) are dropped. *)
+    A row that raises (none should) re-raises here, the earliest first. *)
 let kernel_rows ?(vl = 16) ?(seed = 42) ?(domains = 1) () : row list =
-  Fv_parallel.Pool.map ~domains (kernel_row ~vl ~seed) R.all
-  |> List.filter_map (function Ok r -> Some r | Error _ -> None)
+  Fv_parallel.Pool.map_ordered ~domains (kernel_row ~vl ~seed) R.all
 
 (** Geomean of Auto's and the oracle's per-kernel speedups, and their
     ratio, which the [auto] bench section bars. *)
@@ -177,5 +176,4 @@ let sweep_rows ?(trips = [ 32; 128; 512; 2048; 8192 ]) ?(vls = [ 4; 8; 16 ])
             ?faults (cond ~trip:2048))
         fault_rates
   in
-  Fv_parallel.Pool.map ~domains (fun job -> job ()) jobs
-  |> List.filter_map (function Ok r -> Some r | Error _ -> None)
+  Fv_parallel.Pool.map_ordered ~domains (fun job -> job ()) jobs

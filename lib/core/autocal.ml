@@ -32,8 +32,9 @@ let features_of ?(vl = 16) (spec : R.spec) ~(seed : int) : Fv_auto.Features.t =
   Fv_auto.Features.make ~vl ~profile ~verdict
 
 (** Measure every (kernel, arm) pair. [domains] parallelizes across
-    kernels exactly like the bench sections; rows that fail (they never
-    should — strategies degrade rather than raise) are dropped. *)
+    kernels exactly like the bench sections. A kernel that raises (none
+    should — strategies degrade rather than raise) re-raises here, so
+    the model is never fitted to partial data. *)
 let measure ?(vl = 16) ?(seed = 42) ?(domains = 1) () : measurement list =
   let per_spec (spec : R.spec) : measurement list =
     let f = features_of ~vl spec ~seed in
@@ -61,8 +62,7 @@ let measure ?(vl = 16) ?(seed = 42) ?(domains = 1) () : measurement list =
         })
       M.arms
   in
-  let results = Fv_parallel.Pool.map ~domains per_spec R.all in
-  List.concat_map (function Ok ms -> ms | Error _ -> []) results
+  List.concat (Fv_parallel.Pool.map_ordered ~domains per_spec R.all)
 
 (** Fit the model to the measurements. *)
 let fit (ms : measurement list) : M.coeffs =

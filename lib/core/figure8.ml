@@ -27,11 +27,11 @@ let geomean = function
   | xs ->
       exp (List.fold_left (fun a x -> a +. log x) 0.0 xs /. float_of_int (List.length xs))
 
-let run_row ?(vl = 16) ?(seed = 42) ?faults ?budget (spec : R.spec) : row =
-  let built = spec.build seed in
-  (* profiling: the cold region's dynamic size is chosen so that the
-     measured coverage equals Table 2's (the paper measures coverage
-     with rdtsc over the real applications, which we do not have) *)
+(** The Pin step: profile up to four invocations of [built]'s loop. The
+    cold region's dynamic size is chosen so that the measured coverage
+    equals Table 2's (the paper measures coverage with rdtsc over the
+    real applications, which we do not have). *)
+let profile (spec : R.spec) (built : K.built) : Fv_profiler.Profile.t =
   let probe =
     Fv_profiler.Profile.profile ~invocations:(min spec.invocations 4)
       built.K.loop built.K.mem built.K.env
@@ -40,22 +40,25 @@ let run_row ?(vl = 16) ?(seed = 42) ?faults ?budget (spec : R.spec) : row =
     int_of_float
       (float_of_int probe.hot_uops *. (1.0 -. spec.coverage) /. spec.coverage)
   in
-  let profile = Fv_profiler.Profile.with_other_uops probe ~other_uops in
-  (* the profiler is not budget-threaded: poll at the seam *)
-  Fv_parallel.Budget.check_opt budget;
-  let decision =
-    Fv_vectorizer.Costmodel.decide ~avg_trip:profile.avg_trip
-      ~effective_vl:profile.effective_vl ~mem_ratio:profile.mem_ratio
-      ~coverage:profile.coverage ()
-  in
+  Fv_profiler.Profile.with_other_uops probe ~other_uops
+
+(** The §5 cost-model heuristics applied to a profile. *)
+let decide (p : Fv_profiler.Profile.t) : Fv_vectorizer.Costmodel.decision =
+  Fv_vectorizer.Costmodel.decide ~avg_trip:p.avg_trip
+    ~effective_vl:p.effective_vl ~mem_ratio:p.mem_ratio ~coverage:p.coverage
+    ()
+
+let run_row ?(vl = 16) ?(seed = 42) (spec : R.spec) : row =
+  let profile = profile spec (spec.build seed) in
+  let decision = decide profile in
   let baseline =
-    Experiment.run_workload ?budget ~vl ~invocations:spec.invocations
-      ~seed Experiment.Scalar spec.build
+    Experiment.run_workload ~vl ~invocations:spec.invocations ~seed
+      Experiment.Scalar spec.build
   in
   let flexvec =
     if decision.vectorize then
-      Experiment.run_workload ?budget ~vl ?faults ~invocations:spec.invocations
-        ~seed Experiment.Flexvec spec.build
+      Experiment.run_workload ~vl ~invocations:spec.invocations ~seed
+        Experiment.Flexvec spec.build
     else baseline
   in
   let hot = Experiment.hot_speedup ~baseline flexvec in
@@ -70,8 +73,8 @@ let run_row ?(vl = 16) ?(seed = 42) ?faults ?budget (spec : R.spec) : row =
 type result = {
   rows : row list;
   errors : (string * string) list;
-      (** benchmarks whose row failed (raised or timed out), as
-          [(name, message)]; their rows are excluded from the geomeans *)
+      (** benchmarks whose row raised, as [(name, message)]; their rows
+          are excluded from the geomeans *)
   spec_geomean : float;
   app_geomean : float;
 }
@@ -79,30 +82,13 @@ type result = {
 (** Run every benchmark row, fanned out across [?domains] worker
     domains (each row builds its own kernel, memory and trace sink, so
     rows share no mutable state). Output order matches [benchmarks]
-    regardless of completion order. A row that raises or exceeds
-    [?timeout_s] wall-clock seconds becomes an entry in [errors] while
-    every other row still completes and the geomeans are taken over the
-    survivors — one poisoned benchmark degrades the report instead of
-    sinking it.
-
-    [?timeout_s] arms a cooperative {!Fv_parallel.Budget} per row, so an
-    overdue row cancels itself at its next poll and frees its worker.
-    The pool's detach deadline is only the backstop for a row stuck
-    where nothing polls; it is set to twice the budget so that a row
-    which does poll always cancels before it can be detached. *)
-let run ?vl ?seed ?domains ?faults ?timeout_s ?(benchmarks = R.all) () :
-    result =
-  let row spec =
-    (* armed when the row starts, not when the run does *)
-    let budget =
-      Option.map (fun s -> Fv_parallel.Budget.create ~deadline_s:s ()) timeout_s
-    in
-    run_row ?vl ?seed ?faults ?budget spec
-  in
+    regardless of completion order. A row that raises becomes an entry
+    in [errors] while every other row still completes and the geomeans
+    are taken over the survivors — one poisoned benchmark degrades the
+    report instead of sinking it. *)
+let run ?vl ?seed ?domains ?(benchmarks = R.all) () : result =
   let outcomes =
-    Fv_parallel.Pool.map ?domains
-      ?timeout_s:(Option.map (fun s -> 2.0 *. s) timeout_s)
-      row benchmarks
+    Fv_parallel.Pool.map ?domains (run_row ?vl ?seed) benchmarks
   in
   let rows, errors =
     List.fold_right2

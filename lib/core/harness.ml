@@ -6,24 +6,14 @@
     minutes of simulation before reporting a typo. All names are now
     validated before anything runs.
 
-    The pipeline scheduler is not an option: every section replays on
-    the event-driven scheduler, and the stepped one
-    ([Pipeline.run ~mode:`Step]) is the reference only the tests run. *)
+    Section names, [--domains] and [--trace-out] are the whole command
+    line: every section replays on the event-driven scheduler, retries
+    an RTM tile [Rtm_run.retries] times, and runs with the fault rate,
+    seed and timeouts fixed in its own code. *)
 
 type plan = {
   sections : string list;  (** validated, in request order; never empty *)
   domains : int option;  (** [--domains N]; [None] = pool default *)
-  json : string option;  (** [--json FILE]: combined report destination *)
-  fault_rate : float;
-      (** [--fault-rate R]: per-access injected-fault probability for
-          the recovery-capable strategies; 0.0 (default) disables
-          injection entirely *)
-  fault_seed : int;  (** [--fault-seed N]: injection determinism seed *)
-  row_timeout : float option;
-      (** [--row-timeout SECONDS]: per-row wall-clock budget, read only
-          by the [figure8] section ({!Figure8.run}'s [?timeout_s]); an
-          overdue row is canceled cooperatively and becomes an error
-          row *)
   trace_out : string option;
       (** [--trace-out DIR]: write one Chrome trace-event JSON file per
           section ([trace_<section>.json], host wall-clock spans) into
@@ -41,38 +31,13 @@ let parse_domains s =
   | Some _ -> Error "--domains expects a positive integer"
   | None -> Error (Printf.sprintf "--domains: %S is not an integer" s)
 
-let parse_fault_rate s =
-  match float_of_string_opt s with
-  | Some r when Float.is_finite r && r >= 0.0 && r <= 1.0 -> Ok r
-  | Some _ -> Error "--fault-rate expects a probability in [0, 1]"
-  | None -> Error (Printf.sprintf "--fault-rate: %S is not a number" s)
-
-let parse_fault_seed s =
-  match int_of_string_opt s with
-  | Some n -> Ok n
-  | None -> Error (Printf.sprintf "--fault-seed: %S is not an integer" s)
-
-let parse_row_timeout s =
-  match float_of_string_opt s with
-  | Some t when Float.is_finite t && t > 0.0 -> Ok t
-  | Some _ -> Error "--row-timeout expects a positive number of seconds"
-  | None -> Error (Printf.sprintf "--row-timeout: %S is not a number" s)
-
-(** The injection plan a parsed plan asks for: [None] when
-    [--fault-rate] was zero or absent, so the default run is guaranteed
-    to never touch the injection machinery. *)
-let fault_plan (p : plan) : Fv_faults.Plan.t option =
-  if p.fault_rate = 0.0 then None
-  else Some (Fv_faults.Plan.make ~rate:p.fault_rate ~seed:p.fault_seed ())
-
 (** Parse bench arguments (everything after [Sys.argv.(0)]). Accepts
-    section names interleaved with [--domains N], [--json FILE],
-    [--fault-rate R], [--fault-seed N], [--row-timeout S] and
-    [--trace-out DIR] (each also accepts the [--flag=value] spelling).
-    No section name means "run them all". Every requested section is
-    validated against [available] — and rejected if requested twice,
-    since each section writes one [BENCH_<name>.json] — before the plan
-    is returned, so the caller runs nothing on a bad request. *)
+    section names interleaved with [--domains N] and [--trace-out DIR]
+    (each also accepts the [--flag=value] spelling). No section name
+    means "run them all". Every requested section is validated against
+    [available] — and rejected if requested twice, since each section
+    writes one [BENCH_<name>.json] — before the plan is returned, so
+    the caller runs nothing on a bad request. *)
 let parse_args ~(available : string list) (args : string list) :
     (plan, string) result =
   let split_eq a =
@@ -103,13 +68,6 @@ let parse_args ~(available : string list) (args : string list) :
         in
         match flag with
         | "--domains" -> set parse_domains (fun d -> { acc with domains = Some d })
-        | "--json" -> set (fun v -> Ok v) (fun j -> { acc with json = Some j })
-        | "--fault-rate" ->
-            set parse_fault_rate (fun r -> { acc with fault_rate = r })
-        | "--fault-seed" ->
-            set parse_fault_seed (fun s -> { acc with fault_seed = s })
-        | "--row-timeout" ->
-            set parse_row_timeout (fun t -> { acc with row_timeout = Some t })
         | "--trace-out" ->
             set (fun v -> Ok v) (fun d -> { acc with trace_out = Some d })
         | _ when String.length a >= 2 && String.sub a 0 2 = "--" ->
@@ -119,11 +77,7 @@ let parse_args ~(available : string list) (args : string list) :
             Error (Printf.sprintf "unknown option %s" a)
         | _ -> go { acc with sections = a :: acc.sections } rest)
   in
-  let init =
-    { sections = []; domains = None; json = None; fault_rate = 0.0;
-      fault_seed = 1; row_timeout = None; trace_out = None }
-  in
-  match go init args with
+  match go { sections = []; domains = None; trace_out = None } args with
   | Error _ as e -> e
   | Ok plan -> (
       let unknown =

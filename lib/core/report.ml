@@ -10,10 +10,11 @@ let pad w s =
   let s = if String.length s > w then String.sub s 0 w else s in
   s ^ String.make (w - String.length s) ' '
 
-(** Render rows (first row = header) as an ASCII table. The header
-    fixes the column count: ragged data rows are normalized to it —
-    extra cells are clamped off, missing cells render blank — so a
-    malformed row can no longer crash the whole report. *)
+(** Render rows (first row = header) as an ASCII table, every line
+    newline-terminated, so whatever is printed next starts on a line of
+    its own. The header fixes the column count: ragged data rows are
+    normalized to it — extra cells are clamped off, missing cells render
+    blank — so a malformed row can no longer crash the whole report. *)
 let table (rows : string list list) : string =
   match rows with
   | [] -> ""
@@ -49,6 +50,7 @@ let table (rows : string list list) : string =
           Buffer.add_char buf '\n')
         (List.tl rows);
       Buffer.add_string buf (hline widths);
+      Buffer.add_char buf '\n';
       Buffer.contents buf
 
 let f2 x = Printf.sprintf "%.2f" x
@@ -84,9 +86,9 @@ let timed (f : unit -> 'a) : 'a * float =
 
 (** The report layer's JSON: {!Fv_obs.Json}'s tree and writer, plus
     serializers for every row type the evaluation produces. Schema:
-    every [BENCH_<section>.json] file is an object with at least
-    [section], [domains] (worker-domain count used), the fault knobs,
-    [metrics], [wall_seconds], and a section-specific body
+    every [BENCH_<section>.json] file is an object with [section],
+    [domains] (worker-domain count used), [metrics], [wall_seconds],
+    and a section-specific body
     (EXPERIMENTS.md lists the fields). *)
 module Json = struct
   include Fv_obs.Json
@@ -398,20 +400,14 @@ module Json = struct
       | Fv_obs.Metrics.Counter | Fv_obs.Metrics.Gauge -> [])
 
   (** Wrap a section's body fields into the common report envelope.
-      The fault knobs default to the injection-disabled configuration so
-      existing call sites keep producing accurate envelopes. [?metrics]
-      is the observability-registry snapshot taken when the section
-      finished (empty when nothing was recorded). *)
-  let report ~(section : string) ~(domains : int) ?(fault_rate = 0.0)
-      ?(fault_seed = 1) ?row_timeout ?(metrics = [])
+      [?metrics] is the observability-registry snapshot taken when the
+      section finished (empty when nothing was recorded). *)
+  let report ~(section : string) ~(domains : int) ?(metrics = [])
       ~(wall_seconds : float) (body : (string * t) list) : t =
     Obj
       ([
          ("section", Str section);
          ("domains", Int domains);
-         ("fault_rate", Float fault_rate);
-         ("fault_seed", Int fault_seed);
-         ("row_timeout", opt (fun t -> Float t) row_timeout);
          ("metrics", List (List.map of_metric metrics));
          ("wall_seconds", Float wall_seconds);
        ]

@@ -67,16 +67,14 @@ type rtm_point = {
 }
 
 let rtm_tile_sweep ?(tiles = [ 16; 32; 64; 128; 256; 512; 1024; 2048; 4096 ])
-    ?(trip = 8192) ?(seed = 5) ?domains ?faults () : rtm_point list =
+    ?(trip = 8192) ?(seed = 5) ?domains () : rtm_point list =
   let build s = tunable_early_exit ~trip s in
   let inv = 4 in
   let scalar = E.run_workload ~invocations:inv ~seed E.Scalar build in
-  let ff = E.run_workload ?faults ~invocations:inv ~seed E.Flexvec build in
+  let ff = E.run_workload ~invocations:inv ~seed E.Flexvec build in
   Fv_parallel.Pool.map_ordered ?domains
     (fun tile ->
-      let rtm =
-        E.run_workload ?faults ~invocations:inv ~seed (E.Rtm tile) build
-      in
+      let rtm = E.run_workload ~invocations:inv ~seed (E.Rtm tile) build in
       {
         tile;
         rtm_cycles = rtm.E.cycles;
@@ -243,13 +241,12 @@ type bench_strategies = {
     FlexVec-over-RTM with the paper's recommended 256-iteration tiles.
     The paper argues FlexVec dominates; this makes the comparison
     apples-to-apples on every Table 2 benchmark. *)
-let benchmark_strategies ?(seed = 42) ?(tile = 256) ?domains ?faults () :
+let benchmark_strategies ?(seed = 42) ?(tile = 256) ?domains () :
     bench_strategies list =
   Fv_parallel.Pool.map_ordered ?domains
     (fun (spec : Fv_workloads.Registry.spec) ->
       let run strategy =
-        E.run_workload ?faults ~invocations:spec.invocations ~seed strategy
-          spec.build
+        E.run_workload ~invocations:spec.invocations ~seed strategy spec.build
       in
       let base = run E.Scalar in
       let overall r =
@@ -293,14 +290,16 @@ type fault_point = {
     checks both the first-faulting and the RTM execution against an
     injection-free scalar reference — a divergence raises, which
     {!Fv_parallel.Pool.map} captures as that point's error row rather
-    than sinking the sweep. *)
+    than sinking the sweep. Each outcome comes with its
+    [(tile, rate)] point, tiles outermost. *)
 let fault_sweep ?(rates = [ 0.0; 0.0005; 0.002; 0.008; 0.03 ])
-    ?(tiles = [ 64; 256; 1024 ]) ?(trip = 4096) ?(seed = 7) ?domains () :
-    (fault_point, Fv_parallel.Pool.failure) result list =
+    ?(tiles = [ 64; 256; 1024 ]) ?(trip = 4096) ?(seed = 1) ?domains () :
+    ((int * float) * (fault_point, Fv_parallel.Pool.failure) result) list =
   let points =
     List.concat_map (fun f_tile -> List.map (fun r -> (f_tile, r)) rates) tiles
   in
-  Fv_parallel.Pool.map ?domains
+  List.combine points
+  @@ Fv_parallel.Pool.map ?domains
     (fun (f_tile, f_rate) ->
       let b = tunable_cond_update ~trip ~update_rate:0.01 ~near_rate:0.2 seed in
       let o =

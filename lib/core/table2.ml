@@ -16,15 +16,7 @@ type row = {
 
 let run_row ?(seed = 42) (spec : R.spec) : row =
   let built = spec.build seed in
-  let probe =
-    Fv_profiler.Profile.profile ~invocations:(min spec.invocations 4)
-      built.K.loop built.K.mem built.K.env
-  in
-  let other_uops =
-    int_of_float
-      (float_of_int probe.hot_uops *. (1.0 -. spec.coverage) /. spec.coverage)
-  in
-  let p = Fv_profiler.Profile.with_other_uops probe ~other_uops in
+  let p = Figure8.profile spec built in
   let measured_mix =
     match Fv_vectorizer.Gen.vectorize built.K.loop with
     | Ok vloop -> Fv_vir.Count.to_table2_string (Fv_vir.Count.of_vloop vloop)

@@ -34,12 +34,11 @@ type t = {
 }
 [@@deriving show { with_path = false }]
 
-(** Reinterpret an existing profile with a cold-region budget of
-    [other_uops] micro-ops around the hot loop. Coverage is the only
-    field that depends on the cold region, so this is equivalent to
-    re-running [profile ~other_uops] — which reproduces every other
-    count identically from the same deterministic inputs — at none of
-    the interpretation cost. *)
+(** Place a profile in a program with a cold region of [other_uops]
+    micro-ops around the hot loop (the paper computes coverage from
+    rdtsc over whole-application runs; we model the cold region as a
+    given instruction budget). Coverage is the only field that depends
+    on the cold region. *)
 let with_other_uops (p : t) ~other_uops : t =
   {
     p with
@@ -47,12 +46,10 @@ let with_other_uops (p : t) ~other_uops : t =
       float_of_int p.hot_uops /. float_of_int (max 1 (p.hot_uops + other_uops));
   }
 
-(** Profile one or more invocations of [l]. [other_uops] models the
-    dynamic size of the rest of the program around the hot loop (the
-    paper computes coverage from rdtsc over whole-application runs; we
-    model the cold region as a given instruction budget). Each
-    invocation gets a fresh clone of [mem]/[env]. *)
-let profile ?(invocations = 1) ?(other_uops = 0) (l : Fv_ir.Ast.loop)
+(** Profile one or more invocations of [l], as if the hot loop were the
+    whole program (coverage 1 if it ran; {!with_other_uops} adds a cold
+    region). Each invocation gets a fresh clone of [mem]/[env]. *)
+let profile ?(invocations = 1) (l : Fv_ir.Ast.loop)
     (mem : Fv_mem.Memory.t) (env : (string * Value.t) list) : t =
   let plan =
     match C.analyze l with
@@ -165,5 +162,5 @@ let profile ?(invocations = 1) ?(other_uops = 0) (l : Fv_ir.Ast.loop)
     mem_ratio = fi !mem_uops /. fi (max 1 !compute_uops);
     branches = !branches;
     branch_taken_ratio = fi !taken /. fi (max 1 !branches);
-    coverage = fi !total_uops /. fi (max 1 (!total_uops + other_uops));
+    coverage = fi !total_uops /. fi (max 1 !total_uops);
   }

@@ -1,6 +1,6 @@
 (** Repeat-offender table for poison requests.
 
-    The pool ({!Fv_parallel.Pool.map}) answers a wedged or
+    The server's pool ({!Fv_parallel.Pool.run}) answers a wedged or
     worker-killing request and replaces the domain it burned, but
     replacement alone is not enough: a client hot-looping the {e same}
     poison request would cost one

@@ -178,6 +178,20 @@ let test_serve_auto_rationale () =
     "bare-loop decision is marked static-estimate" true
     (contains ~needle:"static-estimate" bare)
 
+(* ---------------- failed probes are not dropped ---------------- *)
+
+let test_failed_probe_raises () =
+  (* a probe that raises (a negative trip count cannot build its
+     kernel) must surface, not vanish from the sweep while the bars
+     still see one probe per sweep kind *)
+  match
+    Fv_core.Autobench.sweep_rows ~trips:[ -1; 64 ] ~vls:[] ~fault_rates:[] ()
+  with
+  | rows ->
+      Alcotest.failf "the failed probe vanished: %d row(s) returned"
+        (List.length rows)
+  | exception _ -> ()
+
 let suite =
   [
     Alcotest.test_case "decisions identical at 1 vs 4 domains" `Quick
@@ -188,4 +202,6 @@ let suite =
       test_fault_rate_zero_stability;
     Alcotest.test_case "serve answers auto with a memoized rationale" `Quick
       test_serve_auto_rationale;
+    Alcotest.test_case "a failed sweep probe raises" `Quick
+      test_failed_probe_raises;
   ]

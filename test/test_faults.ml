@@ -272,13 +272,16 @@ let test_fault_sweep_smoke () =
   let oks =
     List.map
       (function
-        | Ok p -> p
-        | Error f ->
-            Alcotest.failf "sweep point failed: %s"
+        | _, Ok p -> p
+        | (tile, rate), Error f ->
+            Alcotest.failf "sweep point tile=%d rate=%g failed: %s" tile rate
               (Fv_parallel.Pool.failure_message f))
       points
   in
-  Alcotest.(check int) "one point per (tile, rate)" 2 (List.length oks);
+  Alcotest.(check (list (pair int (float 0.0))))
+    "one point per (tile, rate), in order"
+    [ (64, 0.0); (64, 0.02) ]
+    (List.map fst points);
   let open Fv_core.Sweeps in
   let zero = List.find (fun p -> p.f_rate = 0.0) oks in
   Alcotest.(check int) "rate 0: nothing injected" 0 zero.f_injected;

@@ -73,6 +73,8 @@ let test_report_table () =
   in
   let lines = String.split_on_char '\n' t in
   Alcotest.(check bool) "has border rows" true (List.length lines >= 6);
+  (* a line printed after the table must not run into its border *)
+  Alcotest.(check char) "ends with a newline" '\n' t.[String.length t - 1];
   let widths = List.map String.length (List.filter (fun l -> l <> "") lines) in
   Alcotest.(check bool) "all lines same width" true
     (List.for_all (fun w -> w = List.hd widths) widths)

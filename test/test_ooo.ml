@@ -123,8 +123,9 @@ let test_profiler_counts () =
       B.[ assign "t" (load "a" (var "i")); if_ (var "t" > var "m") [ assign "m" (var "t") ] ]
   in
   let p =
-    Fv_profiler.Profile.profile ~invocations:2 ~other_uops:1000 loop mem
-      [ ("m", Value.Int 500) ]
+    Fv_profiler.Profile.with_other_uops ~other_uops:1000
+      (Fv_profiler.Profile.profile ~invocations:2 loop mem
+         [ ("m", Value.Int 500) ])
   in
   Alcotest.(check int) "trips" 128 p.trips;
   Alcotest.(check bool) "avg trip" true (p.avg_trip = 64.0);
