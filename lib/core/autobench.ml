@@ -97,10 +97,11 @@ let kernel_row ?(vl = 16) ?(seed = 42) (spec : R.spec) : row =
     b_oracle_speedup = scalar /. Float.max 1.0 oracle.ar_actual;
   }
 
-(** Score every registry kernel; [domains] parallelizes across kernels.
+(** Score every registry kernel; [domains] (default
+    {!Fv_parallel.Pool.default_domains}) parallelizes across kernels.
     A row that raises (none should) re-raises here, the earliest first. *)
-let kernel_rows ?(vl = 16) ?(seed = 42) ?(domains = 1) () : row list =
-  Fv_parallel.Pool.map_ordered ~domains (kernel_row ~vl ~seed) R.all
+let kernel_rows ?(vl = 16) ?(seed = 42) ?domains () : row list =
+  Fv_parallel.Pool.map_ordered ?domains (kernel_row ~vl ~seed) R.all
 
 (** Geomean of Auto's and the oracle's per-kernel speedups, and their
     ratio, which the [auto] bench section bars. *)
@@ -153,7 +154,7 @@ let sweep_row ~(sweep : string) ~(label : string) ?(vl = 16) ?faults
     fault rates (faults perturb the measured arms but not the profile,
     so the decision must be stable across them). *)
 let sweep_rows ?(trips = [ 32; 128; 512; 2048; 8192 ]) ?(vls = [ 4; 8; 16 ])
-    ?(fault_rates = [ 0.0; 0.008; 0.03 ]) ?(domains = 1) () : sweep_row list =
+    ?(fault_rates = [ 0.0; 0.008; 0.03 ]) ?domains () : sweep_row list =
   let cond ~trip = Sweeps.tunable_cond_update ~trip ~update_rate:0.05 ~near_rate:0.0 in
   let jobs =
     List.map
@@ -176,4 +177,4 @@ let sweep_rows ?(trips = [ 32; 128; 512; 2048; 8192 ]) ?(vls = [ 4; 8; 16 ])
             ?faults (cond ~trip:2048))
         fault_rates
   in
-  Fv_parallel.Pool.map_ordered ~domains (fun job -> job ()) jobs
+  Fv_parallel.Pool.map_ordered ?domains (fun job -> job ()) jobs

@@ -342,10 +342,8 @@ let compile_leg ?budget ~vl strategy (b : K.built) :
                 Degraded_scalar (Fv_ir.Validate.internal_error msg),
                 Some msg )))
 
-(* The one runner behind {!run_workload} and {!run_hot}. [capacity] is
-   the sink's starting size, which stays per entry point (DESIGN.md,
-   "Two initial capacities"). *)
-let rec run ~capacity ?budget ~vl ?faults ?obs ~invocations ~seed strategy
+(* The one runner behind {!run_workload} and {!run_hot}. *)
+let rec run ?budget ~vl ?faults ?obs ~invocations ~seed strategy
     (build : int -> K.built) : hot_run =
   match strategy with
   | Auto ->
@@ -361,8 +359,7 @@ let rec run ~capacity ?budget ~vl ?faults ?obs ~invocations ~seed strategy
           first.K.env
       in
       let r =
-        run ~capacity ?budget ~vl ?faults ?obs ~invocations ~seed pick.a_chosen
-          build
+        run ?budget ~vl ?faults ?obs ~invocations ~seed pick.a_chosen build
       in
       { r with strategy = Auto; auto = Some pick }
   | _ ->
@@ -378,7 +375,12 @@ let rec run ~capacity ?budget ~vl ?faults ?obs ~invocations ~seed strategy
       (* a degraded run executes the ladder's code, not the recovery
          machinery the plan was meant for *)
       let attached = match compile with Vectorized -> plan | _ -> None in
-      let sink = Fv_trace.Sink.create ?capacity () in
+      (* the sink is borrowed from the pool and handed back when the run
+         returns or raises, unless [obs] keeps it for a timeline *)
+      let sink = Fv_trace.Sink.take () in
+      Fun.protect ~finally:(fun () ->
+          if obs = None then Fv_trace.Sink.put_back sink)
+      @@ fun () ->
       (* annotations are pinned to the trace position current at the
          moment the emulator reports the event *)
       let annot =
@@ -461,8 +463,7 @@ let rec run ~capacity ?budget ~vl ?faults ?obs ~invocations ~seed strategy
     the invocations. *)
 let run_workload ?budget ?(vl = 16) ?faults ?obs ~(invocations : int)
     ~(seed : int) (strategy : strategy) (build : int -> K.built) : hot_run =
-  run ~capacity:(Some 65536) ?budget ~vl ?faults ?obs ~invocations ~seed
-    strategy build
+  run ?budget ~vl ?faults ?obs ~invocations ~seed strategy build
 
 (** Trace one invocation of the hot loop on [mem]/[env] under one
     strategy and replay it on the OOO model: {!run_workload} over a
@@ -470,5 +471,5 @@ let run_workload ?budget ?(vl = 16) ?faults ?obs ~(invocations : int)
 let run_hot ?budget ?(vl = 16) ?faults ?obs (strategy : strategy)
     (l : Fv_ir.Ast.loop) (mem : Memory.t) (env : (string * Value.t) list) :
     hot_run =
-  run ~capacity:None ?budget ~vl ?faults ?obs ~invocations:1 ~seed:0 strategy
-    (fun _ -> { K.loop = l; mem; env })
+  run ?budget ~vl ?faults ?obs ~invocations:1 ~seed:0 strategy (fun _ ->
+      { K.loop = l; mem; env })

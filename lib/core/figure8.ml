@@ -80,8 +80,8 @@ type result = {
 }
 
 (** Run every benchmark row, fanned out across [?domains] worker
-    domains (each row builds its own kernel, memory and trace sink, so
-    rows share no mutable state). Output order matches [benchmarks]
+    domains (each row builds its own kernel and memory and borrows its
+    own trace sink from the pool, so rows share no mutable state). Output order matches [benchmarks]
     regardless of completion order. A row that raises becomes an entry
     in [errors] while every other row still completes and the geomeans
     are taken over the survivors — one poisoned benchmark degrades the

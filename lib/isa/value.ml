@@ -62,8 +62,8 @@ let binop (op : binop) (a : t) (b : t) : t =
       | Mul -> Int (x * y)
       | Div -> Int (if y = 0 then 0 else x / y)
       | Rem -> Int (if y = 0 then 0 else x mod y)
-      | Min -> Int (min x y)
-      | Max -> Int (max x y)
+      | Min -> Int (if x < y then x else y)
+      | Max -> Int (if x > y then x else y)
       | And -> Int (x land y)
       | Or -> Int (x lor y)
       | Xor -> Int (x lxor y)

@@ -75,10 +75,12 @@ let access (h : t) (addr : int) : int =
 let access_range (h : t) (addr : int) (nelems : int) : int =
   let line = h.l1.Cache.line_elems in
   let first = Cache.line_of h.l1 addr
-  and last = Cache.line_of h.l1 (addr + max 1 nelems - 1) in
+  and last = Cache.line_of h.l1 (addr + (if nelems > 1 then nelems else 1) - 1) in
   let lat = ref 0 in
   for l = first to last do
-    lat := max !lat (access h (l * line))
+    (* int comparisons, not the polymorphic [Stdlib.max] *)
+    let a = access h (l * line) in
+    if a > !lat then lat := a
   done;
   !lat
 

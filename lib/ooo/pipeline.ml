@@ -33,18 +33,23 @@
     register ids, element addresses and branch-label hashes are flat
     int-array reads, interned once as the emulator pushed each uop, and
     latency, throughput, port class and the branch flag come from
-    per-code tables indexed by the class byte. Dependence edges live
-    in a preallocated edge pool and completion-calendar buckets are
-    intrusive int-array chains, but the loop is not allocation-free:
+    per-code tables indexed by the class byte. Per-uop state is kept
+    only for the micro-ops in flight, at most [rob_size] of them, in
+    rings indexed by the low bits of the uop id; the ROB is that
+    window. Dependence edges come from a free list, completion-calendar
+    buckets are intrusive int-array chains, and the scheduler's
+    closures are built once per replay. So a replay allocates nothing
+    in proportion to the trace but the [?record] log (the
+    disambiguation table below is sized by the highest store address):
     replaying the registry's 36 Scalar and FlexVec workload traces
-    (2 463 558 micro-ops) allocates 11.56 minor words per micro-op,
-    and the minor GC runs during replays. The ROB is a ring buffer; the completion calendar is a power-of-two
-    ring of cycle buckets (the completion horizon is bounded by the
-    worst-case miss latency, and the ring grows if a pathological
-    hierarchy exceeds it); and memory disambiguation is a direct-mapped
-    [addr -> store id] array. Callers that replay the same trace many
-    times memoize through {!Simcache}, keyed on the sink's content
-    hash. *)
+    (2 463 558 micro-ops) allocates 0.024 minor words per micro-op, and
+    the minor GC runs at most twice across those replays. The completion
+    calendar is a power-of-two ring of cycle buckets (the completion
+    horizon is bounded by the worst-case miss latency, and the ring
+    grows if a pathological hierarchy exceeds it), and memory
+    disambiguation is a direct-mapped [addr -> store id] array. Callers
+    that replay the same trace many times memoize through {!Simcache},
+    keyed on the sink's content hash. *)
 
 module Sink = Fv_trace.Sink
 
@@ -143,11 +148,14 @@ module Heap = struct
     done
 end
 
-type port_class = P_load | P_store | P_alu
-
-(* byte encoding of [port_class] in {!Sink.pcls_of_code} *)
+(* byte encoding of the port class in {!Sink.pcls_of_code} *)
 let b_load = Sink.b_load
 and b_store = Sink.b_store
+
+(* [Stdlib.min]/[max] are polymorphic compare calls on a compiler
+   without flambda; the replay loop compares ints only *)
+let imin (a : int) b = if a < b then a else b
+let imax (a : int) b = if a > b then a else b
 
 let empty_stats =
   {
@@ -194,22 +202,58 @@ let run ?budget ?(cfg = Machine.table1)
       | Some r -> (r.t_dispatch, r.t_issue, r.t_complete, r.t_commit)
       | None -> ([||], [||], [||], [||])
     in
-    (* per-uop state *)
-    let pending = Array.make n 0 in
-    (* dependence edges as a preallocated pool of intrusive lists:
-       [dep_head.(p)] is producer [p]'s newest edge, [dep_to]/[dep_next]
-       its consumer and the next edge. Each dispatched uop adds at most
-       one edge per source operand plus one store-forwarding edge, so
-       the pool never grows. *)
-    let dep_head = Array.make n (-1) in
-    let dep_to = Array.make (trace.Sink.nsrcs + n) 0 in
-    let dep_next = Array.make (trace.Sink.nsrcs + n) (-1) in
-    let dep_cnt = ref 0 in
-    let completed = Bytes.make n '\000' in
-    let is_completed i = Bytes.unsafe_get completed i <> '\000' in
-    let in_rs = Bytes.make n '\000' in
+    (* Per-uop state for the uops in flight only. Dispatch and commit
+       are in order, so those are the ids [committed, next_dispatch),
+       at most [rob_size] of them: uop [i] lives in slot [i land wmask]
+       of rings of [win] slots, [win] the power of two >= min n
+       rob_size. A slot is reset when its uop dispatches; by then its
+       previous occupant, [i - win], has committed, and a committed uop
+       is completed by [is_completed]'s first test. *)
+    let win =
+      let c = ref 1 in
+      while !c < imin n cfg.Machine.rob_size do
+        c := 2 * !c
+      done;
+      !c
+    in
+    let wmask = win - 1 in
+    let next_dispatch = ref 0 in
+    let committed = ref 0 in
+    let pending = Array.make win 0 in
+    let completed = Bytes.make win '\000' in
+    let is_completed p =
+      p < !committed || Bytes.unsafe_get completed (p land wmask) <> '\000'
+    in
+    let in_rs = Bytes.make win '\000' in
+    let forward_lat = Array.make win (-1) in
+    (* -1: not a forwarded load *)
+    (* dependence edges as intrusive lists drawn from a free list:
+       [dep_head.(slot p)] is producer [p]'s newest edge, [dep_to] /
+       [dep_next] its consumer's id and the next edge. Each producer's
+       list is walked exactly once, when it completes, and its edges are
+       freed then, so the pool holds only the edges in flight; it
+       doubles if those ever outgrow it. *)
+    let dep_head = Array.make win (-1) in
+    let pool0 = imin (4 * win) (trace.Sink.nsrcs + n) in
+    let dep_to = ref (Array.make pool0 0) in
+    let dep_next =
+      ref (Array.init pool0 (fun e -> if e + 1 < pool0 then e + 1 else -1))
+    in
+    let dep_free = ref 0 in
+    let grow_edges () =
+      let old = Array.length !dep_to in
+      let to_ = Array.make (2 * old) 0 and next = Array.make (2 * old) (-1) in
+      Array.blit !dep_to 0 to_ 0 old;
+      Array.blit !dep_next 0 next 0 old;
+      for e = old to (2 * old) - 2 do
+        next.(e) <- e + 1
+      done;
+      dep_to := to_;
+      dep_next := next;
+      dep_free := old
+    in
     (* renaming: logical register id -> last writer uop id (-1: none) *)
-    let last_writer = Array.make (max 1 (Sink.nregs trace)) (-1) in
+    let last_writer = Array.make (imax 1 (Sink.nregs trace)) (-1) in
     (* memory disambiguation: element address -> last *in-flight* store
        uop id (-1: none), direct-mapped since the address space is a
        small bump-allocated range. Entries are pruned when their store
@@ -253,27 +297,13 @@ let run ?budget ?(cfg = Machine.table1)
         | _ -> ()
     in
     let predictor = Predictor.create () in
-    (* ROB: ring buffer of uop ids (capacity: rob_size rounded up to a
-       power of two so the index wrap is a mask) *)
-    let rob_cap =
-      let c = ref 1 in
-      while !c < cfg.Machine.rob_size do
-        c := 2 * !c
-      done;
-      !c
-    in
-    let rob = Array.make rob_cap 0 in
-    let rob_head = ref 0 and rob_len = ref 0 in
+    (* the ROB is the window itself: its head is [committed] and its
+       length [next_dispatch - committed] *)
     let rs_used = ref 0 and lq_used = ref 0 and sq_used = ref 0 in
     (* ready heaps per port class *)
     let ready_load = Heap.create ()
     and ready_store = Heap.create ()
     and ready_alu = Heap.create () in
-    let heap_of = function
-      | P_load -> ready_load
-      | P_store -> ready_store
-      | P_alu -> ready_alu
-    in
     let heap_of_b b =
       if b = b_load then ready_load
       else if b = b_store then ready_store
@@ -283,23 +313,19 @@ let run ?budget ?(cfg = Machine.table1)
     let load_ports = Array.make cfg.Machine.load_ports 0 in
     let store_ports = Array.make cfg.Machine.store_ports 0 in
     let alu_ports = Array.make cfg.Machine.alu_ports 0 in
-    let ports_of = function
-      | P_load -> load_ports
-      | P_store -> store_ports
-      | P_alu -> alu_ports
-    in
     (* Completion calendar: a power-of-two ring of cycle buckets plus a
        next-event heap over the live bucket times. A bucket is an
        intrusive chain threaded through [comp_next] — each uop is
-       scheduled for completion exactly once, so one next-pointer per
-       uop suffices and nothing is allocated. Live completions all lie
-       within the worst-case miss latency of the current cycle, far
-       below the ring size, so two live times never alias — if an
-       exotic hierarchy ever exceeds the horizon the ring doubles. *)
+       scheduled for completion exactly once, while in flight, so one
+       next-pointer per window slot suffices and nothing is allocated.
+       Live completions all lie within the worst-case miss latency of
+       the current cycle, far below the ring size, so two live times
+       never alias — if an exotic hierarchy ever exceeds the horizon the
+       ring doubles. *)
     let cal_size = ref 1024 in
     let cal_time = ref (Array.make !cal_size (-1)) in
     let cal_head = ref (Array.make !cal_size (-1)) in
-    let comp_next = Array.make n (-1) in
+    let comp_next = Array.make win (-1) in
     let events = Heap.create () in
     let grow_calendar () =
       let old_n = !cal_size and old_t = !cal_time and old_h = !cal_head in
@@ -319,12 +345,12 @@ let run ?budget ?(cfg = Machine.table1)
       let idx = t land (!cal_size - 1) in
       let tm = (!cal_time).(idx) in
       if tm = t then begin
-        comp_next.(i) <- (!cal_head).(idx);
+        comp_next.(i land wmask) <- (!cal_head).(idx);
         (!cal_head).(idx) <- i
       end
       else if tm < 0 then begin
         (!cal_time).(idx) <- t;
-        comp_next.(i) <- -1;
+        comp_next.(i land wmask) <- -1;
         (!cal_head).(idx) <- i;
         Heap.push events t
       end
@@ -333,16 +359,12 @@ let run ?budget ?(cfg = Machine.table1)
         schedule_completion i t
       end
     in
-    let next_dispatch = ref 0 in
     let redirect_until = ref (-1) in
     let redirect_waiting_on = ref (-1) in
     let cycle = ref 0 in
-    let committed = ref 0 in
     let stall_rob = ref 0 and stall_rs = ref 0 and stall_lq = ref 0
     and stall_sq = ref 0 and stall_redirect = ref 0 in
     let nloads = ref 0 and nstores = ref 0 in
-    let forward_lat = Array.make n (-1) in
-    (* -1: not a forwarded load *)
     (* producer scratch buffer: the deduplicated producer set of the uop
        being dispatched (order is irrelevant — each distinct producer
        gets one dependence edge) *)
@@ -365,32 +387,97 @@ let run ?budget ?(cfg = Machine.table1)
         pcnt := m + 1
       end
     in
+    (* 4. issue from one port class's ready heap, oldest first, bounded
+       by the issue width; [issued] counts across the three classes of
+       cycle [!cycle]. Built once per replay, like every closure the
+       scheduler rounds call. *)
+    let issued = ref 0 in
+    let try_issue h ports =
+      let c = !cycle in
+      let np = Array.length ports in
+      let continue_issue = ref true in
+      while !continue_issue && !issued < cfg.Machine.issue_width do
+        if h.Heap.n = 0 then continue_issue := false
+        else begin
+          let i = Heap.top h in
+          (* find a free port unit *)
+          let port = ref (-1) in
+          let pi = ref 0 in
+          while !port < 0 && !pi < np do
+            if Array.unsafe_get ports !pi <= c then port := !pi;
+            incr pi
+          done;
+          if !port < 0 then continue_issue := false
+          else begin
+            Heap.drop_min h;
+            if rec_on then ri.(i) <- c;
+            let s = i land wmask in
+            let base_lat = Array.unsafe_get Sink.lat_of_code (code i) in
+            let b = pcls_of i in
+            let lat =
+              if b = b_load then
+                if forward_lat.(s) >= 0 then forward_lat.(s)
+                else begin
+                  let a = Array.unsafe_get addr_of i in
+                  base_lat
+                  + Fv_memsys.Hierarchy.access_range hier
+                      (if a = no_addr then 0 else a)
+                      (Array.unsafe_get nelems_of i)
+                end
+              else if b = b_store then begin
+                let a = Array.unsafe_get addr_of i in
+                if a <> no_addr then
+                  ignore
+                    (Fv_memsys.Hierarchy.access_range hier a
+                       (Array.unsafe_get nelems_of i));
+                base_lat
+              end
+              else base_lat
+            in
+            ports.(!port) <- c + Array.unsafe_get Sink.recip_of_code (code i);
+            decr rs_used;
+            Bytes.unsafe_set in_rs s '\000';
+            schedule_completion i (c + imax 1 lat);
+            incr issued
+          end
+        end
+      done
+    in
 
-    (* One cycle of the machine; identical in both modes. *)
-    let do_cycle c =
-      (* 1. process completions scheduled for this cycle *)
+    (* One cycle of the machine, cycle [!cycle]; identical in both
+       modes. *)
+    let do_cycle () =
+      let c = !cycle in
+      (* 1. process completions scheduled for this cycle; each
+         completing producer wakes its consumers and frees its edges *)
       let cidx = c land (!cal_size - 1) in
       if (!cal_time).(cidx) = c then begin
         let comps = (!cal_head).(cidx) in
         (!cal_time).(cidx) <- -1;
         (!cal_head).(cidx) <- -1;
+        let dep_to = !dep_to and dep_next = !dep_next in
         let cur = ref comps in
         while !cur >= 0 do
           let i = !cur in
-          cur := comp_next.(i);
-          Bytes.unsafe_set completed i '\001';
+          let s = i land wmask in
+          cur := comp_next.(s);
+          Bytes.unsafe_set completed s '\001';
           if rec_on then rc.(i) <- c;
           if !redirect_waiting_on = i then begin
             redirect_until := c + cfg.Machine.mispredict_penalty;
             redirect_waiting_on := -1
           end;
-          let e = ref dep_head.(i) in
+          let e = ref (Array.unsafe_get dep_head s) in
           while !e >= 0 do
-            let d = Array.unsafe_get dep_to !e in
-            e := Array.unsafe_get dep_next !e;
-            let p = Array.unsafe_get pending d - 1 in
-            Array.unsafe_set pending d p;
-            if p = 0 && Bytes.unsafe_get in_rs d <> '\000' then
+            let ed = !e in
+            let d = Array.unsafe_get dep_to ed in
+            e := Array.unsafe_get dep_next ed;
+            Array.unsafe_set dep_next ed !dep_free;
+            dep_free := ed;
+            let ds = d land wmask in
+            let p = Array.unsafe_get pending ds - 1 in
+            Array.unsafe_set pending ds p;
+            if p = 0 && Bytes.unsafe_get in_rs ds <> '\000' then
               Heap.push (heap_of_b (pcls_of d)) d
           done
         done
@@ -400,11 +487,11 @@ let run ?budget ?(cfg = Machine.table1)
       let comms = ref 0 in
       let continue_commit = ref true in
       while !continue_commit && !comms < cfg.Machine.commit_width do
-        if !rob_len > 0 && is_completed rob.(!rob_head) then begin
-          let i = rob.(!rob_head) in
+        let i = !committed in
+        if i < !next_dispatch
+           && Bytes.unsafe_get completed (i land wmask) <> '\000'
+        then begin
           if rec_on then rm.(i) <- c;
-          rob_head := (!rob_head + 1) land (rob_cap - 1);
-          decr rob_len;
           let b = pcls_of i in
           if b = b_load then decr lq_used
           else if b = b_store then begin
@@ -434,7 +521,7 @@ let run ?budget ?(cfg = Machine.table1)
           incr stall_redirect;
           continue_dispatch := false
         end
-        else if !rob_len >= cfg.Machine.rob_size then begin
+        else if i - !committed >= cfg.Machine.rob_size then begin
           incr stall_rob;
           continue_dispatch := false
         end
@@ -451,6 +538,11 @@ let run ?budget ?(cfg = Machine.table1)
           continue_dispatch := false
         end
         else begin
+          (* take the slot: its previous occupant has committed *)
+          let slot = i land wmask in
+          Bytes.unsafe_set completed slot '\000';
+          Array.unsafe_set dep_head slot (-1);
+          Array.unsafe_set forward_lat slot (-1);
           (* rename: collect producers *)
           pcnt := 0;
           for k = Array.unsafe_get src_off i to Array.unsafe_get src_off (i + 1) - 1 do
@@ -483,7 +575,7 @@ let run ?budget ?(cfg = Machine.table1)
                    && a + ne <= da + Array.unsafe_get nelems_of s
                  in
                  if covers then
-                   forward_lat.(i) <- cfg.Machine.store_forward_latency
+                   forward_lat.(slot) <- cfg.Machine.store_forward_latency
                end
              end
            end
@@ -495,23 +587,23 @@ let run ?budget ?(cfg = Machine.table1)
                  ls_set e i
                done
            end);
-          pending.(i) <- !pcnt;
+          pending.(slot) <- !pcnt;
           for k = 0 to !pcnt - 1 do
             let p = (!pbuf).(k) in
-            let e = !dep_cnt in
-            dep_cnt := e + 1;
-            Array.unsafe_set dep_to e i;
-            Array.unsafe_set dep_next e (Array.unsafe_get dep_head p);
-            Array.unsafe_set dep_head p e
+            if !dep_free < 0 then grow_edges ();
+            let e = !dep_free and next = !dep_next in
+            dep_free := Array.unsafe_get next e;
+            Array.unsafe_set !dep_to e i;
+            let ps = p land wmask in
+            Array.unsafe_set next e (Array.unsafe_get dep_head ps);
+            Array.unsafe_set dep_head ps e
           done;
           (let d = Array.unsafe_get dst_id i in
            if d >= 0 then Array.unsafe_set last_writer d i);
-          rob.((!rob_head + !rob_len) land (rob_cap - 1)) <- i;
-          incr rob_len;
           if b = b_load then incr lq_used
           else if b = b_store then incr sq_used;
           incr rs_used;
-          Bytes.unsafe_set in_rs i '\001';
+          Bytes.unsafe_set in_rs slot '\001';
           if !pcnt = 0 then Heap.push (heap_of_b b) i;
           (* branch prediction *)
           if Array.unsafe_get Sink.isbr_of_code (code i) then begin
@@ -528,61 +620,10 @@ let run ?budget ?(cfg = Machine.table1)
         end
       done;
       (* 4. issue: oldest-first per port class, bounded by issue width *)
-      let issued = ref 0 in
-      let try_issue pc =
-        let h = heap_of pc in
-        let ports = ports_of pc in
-        let np = Array.length ports in
-        let continue_issue = ref true in
-        while !continue_issue && !issued < cfg.Machine.issue_width do
-          if h.Heap.n = 0 then continue_issue := false
-          else begin
-            let i = Heap.top h in
-            (* find a free port unit *)
-            let port = ref (-1) in
-            let pi = ref 0 in
-            while !port < 0 && !pi < np do
-              if Array.unsafe_get ports !pi <= c then port := !pi;
-              incr pi
-            done;
-            if !port < 0 then continue_issue := false
-            else begin
-              Heap.drop_min h;
-              if rec_on then ri.(i) <- c;
-              let base_lat = Array.unsafe_get Sink.lat_of_code (code i) in
-              let b = pcls_of i in
-              let lat =
-                if b = b_load then
-                  if forward_lat.(i) >= 0 then forward_lat.(i)
-                  else begin
-                    let a = Array.unsafe_get addr_of i in
-                    base_lat
-                    + Fv_memsys.Hierarchy.access_range hier
-                        (if a = no_addr then 0 else a)
-                        (Array.unsafe_get nelems_of i)
-                  end
-                else if b = b_store then begin
-                  let a = Array.unsafe_get addr_of i in
-                  if a <> no_addr then
-                    ignore
-                      (Fv_memsys.Hierarchy.access_range hier a
-                         (Array.unsafe_get nelems_of i));
-                  base_lat
-                end
-                else base_lat
-              in
-              ports.(!port) <- c + Array.unsafe_get Sink.recip_of_code (code i);
-              decr rs_used;
-              Bytes.unsafe_set in_rs i '\000';
-              schedule_completion i (c + max 1 lat);
-              incr issued
-            end
-          end
-        done
-      in
-      try_issue P_load;
-      try_issue P_store;
-      try_issue P_alu
+      issued := 0;
+      try_issue ready_load load_ports;
+      try_issue ready_store store_ports;
+      try_issue ready_alu alu_ports
     in
 
     (* Event-driven fast-forward: after executing cycle [c], find the
@@ -590,45 +631,45 @@ let run ?budget ?(cfg = Machine.table1)
        anything at all. Between [c] and that cycle the machine state is
        provably frozen, so the only stepped-model effect to replicate is
        the one dispatch-stall increment per blocked cycle. *)
+    let cand = ref max_int in
+    let add t = if t > !cycle && t < !cand then cand := t in
+    (* issue possible once a port frees up? *)
+    let issue_cand h ports =
+      if h.Heap.n > 0 then begin
+        let earliest = ref max_int in
+        for pi = 0 to Array.length ports - 1 do
+          let f = Array.unsafe_get ports pi in
+          if f < !earliest then earliest := f
+        done;
+        if !earliest < max_int then add (imax (!cycle + 1) !earliest)
+      end
+    in
     let advance () =
       let c = !cycle in
-      let cand = ref max_int in
-      let add t = if t > c && t < !cand then cand := t in
+      cand := max_int;
       (* next completion event (drop keys already processed) *)
       while events.Heap.n > 0 && Heap.top events <= c do
         Heap.drop_min events
       done;
       if events.Heap.n > 0 then add (Heap.top events);
       (* commit possible next cycle? *)
-      if !rob_len > 0 && is_completed rob.(!rob_head) then add (c + 1);
+      if !committed < !next_dispatch && is_completed !committed then add (c + 1);
       (* dispatch possible once the redirect window closes? *)
       if !next_dispatch < n then begin
         let b = pcls_of !next_dispatch in
         let blocked =
-          !rob_len >= cfg.Machine.rob_size
+          !next_dispatch - !committed >= cfg.Machine.rob_size
           || !rs_used >= cfg.Machine.rs_size
           || (b = b_load && !lq_used >= cfg.Machine.lq_size)
           || (b = b_store && !sq_used >= cfg.Machine.sq_size)
         in
         if !redirect_waiting_on < 0 && not blocked then
-          add (max (c + 1) !redirect_until)
+          add (imax (c + 1) !redirect_until)
       end;
-      (* issue possible once a port frees up? *)
-      let issue_cand pc =
-        if (heap_of pc).Heap.n > 0 then begin
-          let ports = ports_of pc in
-          let earliest = ref max_int in
-          for pi = 0 to Array.length ports - 1 do
-            let f = Array.unsafe_get ports pi in
-            if f < !earliest then earliest := f
-          done;
-          if !earliest < max_int then add (max (c + 1) !earliest)
-        end
-      in
-      issue_cand P_load;
-      issue_cand P_store;
-      issue_cand P_alu;
-      let target = if !cand = max_int then max_cycles else min !cand max_cycles in
+      issue_cand ready_load load_ports;
+      issue_cand ready_store store_ports;
+      issue_cand ready_alu alu_ports;
+      let target = if !cand = max_int then max_cycles else imin !cand max_cycles in
       (* replicate the stepped model's one-stall-per-blocked-cycle
          accounting over the skipped cycles c+1 .. target-1 *)
       let skipped = target - c - 1 in
@@ -636,12 +677,12 @@ let run ?budget ?(cfg = Machine.table1)
         if !redirect_waiting_on >= 0 then
           stall_redirect := !stall_redirect + skipped
         else begin
-          let r = min skipped (max 0 (!redirect_until - (c + 1))) in
+          let r = imin skipped (imax 0 (!redirect_until - (c + 1))) in
           stall_redirect := !stall_redirect + r;
           let rest = skipped - r in
           if rest > 0 then begin
             let b = pcls_of !next_dispatch in
-            if !rob_len >= cfg.Machine.rob_size then
+            if !next_dispatch - !committed >= cfg.Machine.rob_size then
               stall_rob := !stall_rob + rest
             else if !rs_used >= cfg.Machine.rs_size then
               stall_rs := !stall_rs + rest
@@ -673,7 +714,7 @@ let run ?budget ?(cfg = Machine.table1)
     in
     while !committed < n && !cycle < max_cycles do
       poll ();
-      do_cycle !cycle;
+      do_cycle ();
       match mode with
       | `Step -> incr cycle
       | `Event -> if !committed >= n then incr cycle else advance ()
@@ -681,7 +722,7 @@ let run ?budget ?(cfg = Machine.table1)
     {
       cycles = !cycle;
       uops = n;
-      ipc = float_of_int n /. float_of_int (max 1 !cycle);
+      ipc = float_of_int n /. float_of_int (imax 1 !cycle);
       branch_lookups = predictor.Predictor.lookups;
       branch_mispredicts = predictor.Predictor.mispredicts;
       l1_hit_rate = Fv_memsys.Cache.hit_rate hier.Fv_memsys.Hierarchy.l1;

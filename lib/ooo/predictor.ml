@@ -12,6 +12,11 @@ type t = {
   mutable mispredicts : int;
 }
 
+(* int-specialised: [Stdlib.min]/[max] are polymorphic compare calls
+   on a compiler without flambda *)
+let imin (a : int) b = if a < b then a else b
+let imax (a : int) b = if a > b then a else b
+
 let create ?(bits = 12) () =
   { table = Array.make (1 lsl bits) 2; history = 0; bits; lookups = 0; mispredicts = 0 }
 
@@ -30,7 +35,7 @@ let mispredicted_hash (p : t) ~(h : int) ~(taken : bool) : bool =
   let miss = predicted <> taken in
   if miss then p.mispredicts <- p.mispredicts + 1;
   p.table.(i) <-
-    (if taken then min 3 (p.table.(i) + 1) else max 0 (p.table.(i) - 1));
+    (if taken then imin 3 (p.table.(i) + 1) else imax 0 (p.table.(i) - 1));
   p.history <- ((p.history lsl 1) lor Bool.to_int taken) land ((1 lsl p.bits) - 1);
   miss
 
@@ -43,7 +48,7 @@ let mispredicted (p : t) ~(label : string) ~(taken : bool) : bool =
   if miss then p.mispredicts <- p.mispredicts + 1;
   (* update counter and history *)
   p.table.(i) <-
-    (if taken then min 3 (p.table.(i) + 1) else max 0 (p.table.(i) - 1));
+    (if taken then imin 3 (p.table.(i) + 1) else imax 0 (p.table.(i) - 1));
   p.history <- ((p.history lsl 1) lor Bool.to_int taken) land ((1 lsl p.bits) - 1);
   miss
 

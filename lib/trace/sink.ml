@@ -197,6 +197,60 @@ let create ?(capacity = 256) ?(record = true) () : t =
     h = Fv_obs.Hash.word_offset;
   }
 
+(** Restore the state [create ()] builds, keeping the columns'
+    capacity: a reset sink assigns the same ids, folds the same hash and
+    rebuilds the same records as a fresh one. What is never read keeps
+    its stale contents: slots past {!length}, names past {!nregs},
+    labels past the label count, and the strings of cache slots whose
+    id is -1. *)
+let reset (t : t) =
+  t.len <- 0;
+  t.nsrcs <- 0;
+  Array.fill t.counts 0 (Array.length t.counts) 0;
+  Hashtbl.reset t.ids;
+  Array.fill t.reserved 0 (Array.length t.reserved) (-1);
+  t.nregs <- 0;
+  Array.fill t.dm_id 0 dm_n (-1);
+  Hashtbl.reset t.lbl_ids;
+  Hashtbl.add t.lbl_ids "" 0;
+  t.nlbls <- 1;
+  Array.fill t.lm_id 0 dm_n (-1);
+  t.h <- Fv_obs.Hash.word_offset
+
+(* Free recording sinks, shared by every domain. Not [Domain.DLS]: pool
+   workers end with every one-shot map and at every idle point of the
+   daemon, so per-domain sinks would die with them. *)
+let free_lock = Mutex.create ()
+let free : t list ref = ref []
+
+(** A recording sink in exactly the state [create ()] builds, without
+    allocating one: a free sink from a process-wide pool, reset, or a
+    new one when none is free (counted as [trace_sinks_built]). A sink
+    keeps the capacity its longest trace grew it to, so after the
+    pool's first few traces recording no longer grows columns. Hand it
+    back with {!put_back} once nothing reads it; one handed back dirty,
+    by a canceled run, is reset before anyone records into it again. *)
+let take () =
+  let taken =
+    Mutex.protect free_lock (fun () ->
+        match !free with
+        | t :: rest ->
+            free := rest;
+            Some t
+        | [] -> None)
+  in
+  match taken with
+  | Some t ->
+      reset t;
+      t
+  | None ->
+      Fv_obs.Metrics.incr Fv_obs.Metrics.global "trace_sinks_built";
+      create ()
+
+(** Return a sink from {!take} to the pool. The caller must not use it
+    again. *)
+let put_back (t : t) = Mutex.protect free_lock (fun () -> free := t :: !free)
+
 let length t = t.len
 
 (** Distinct registers used so far: ids are [0 .. nregs t - 1]. *)

@@ -150,6 +150,52 @@ let prop_random_tiny =
           Pipeline.pp_stats st)
 
 (* ------------------------------------------------------------------ *)
+(* The in-flight window                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* every uop reads all 16 registers and writes one of them: each waits
+   on the 16 before it, so the RS fills with uops holding ~16 edges
+   each, far past the edge pool's initial 4 * 256 *)
+let fan_in () =
+  let s = Sink.create () in
+  let reg k = Printf.sprintf "f%d" k in
+  for i = 0 to 599 do
+    Sink.push s
+      (Uop.make ~dst:(reg (i mod 16)) ~srcs:(List.init 16 reg) Latency.Fp_div)
+  done;
+  s
+
+(* Replay keeps per-uop state for the uops in flight only, in rings of
+   window slots. Pinned against statistics the trace-sized replay
+   computed (Window_golden), in both schedulers: ROBs of 1 and 3 put
+   every uop, or every fourth, in one slot, so a slot still carrying
+   its committed occupant's state, or a committed producer read from a
+   reused slot, moves the numbers. *)
+let test_window_golden () =
+  let check ~msg cfg sink (want : Pipeline.stats) =
+    List.iter
+      (fun mode ->
+        let got =
+          Pipeline.run ~cfg ~hier:(Fv_memsys.Hierarchy.table1 ())
+            ~max_cycles:1_000_000 ~mode sink
+        in
+        if compare want got <> 0 then
+          Alcotest.failf "%s, %s: want %a@.got  %a" msg
+            (match mode with `Event -> "event" | `Step -> "step")
+            Pipeline.pp_stats want Pipeline.pp_stats got)
+      [ `Event; `Step ]
+  in
+  check ~msg:"fan-in" Machine.table1 (fan_in ()) Window_golden.fan_in;
+  Array.iter
+    (fun (seed, rob_size, want) ->
+      let uops = G.generate1 ~rand:(Random.State.make [| seed |]) gen_trace in
+      check
+        ~msg:(Printf.sprintf "seed %d, rob %d" seed rob_size)
+        { tiny_machine with Machine.rob_size }
+        (sink_of uops) want)
+    Window_golden.random
+
+(* ------------------------------------------------------------------ *)
 (* Regressions                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -316,6 +362,8 @@ let suite =
   [
     Alcotest.test_case "all kernels, scalar+flexvec: event==step" `Slow
       test_kernels_equal;
+    Alcotest.test_case "in-flight window == trace-sized replay (golden)"
+      `Quick test_window_golden;
     Alcotest.test_case "partial overlap does not forward" `Quick
       test_partial_overlap_no_forward;
     Alcotest.test_case "covering store forwards" `Quick

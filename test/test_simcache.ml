@@ -268,14 +268,82 @@ let sink_of ?capacity us =
   List.iter (Sink.push s) us;
   s
 
+(* program names spelled like the emulators' own registers *)
+let internal_spellings = [| "%vi"; "%ktest"; "%st0"; "%vt1"; "%gap"; "%const" |]
+
+(* a FlexVec vloop and its data: [Exec.run] records its preamble and
+   polls the budget at the first strip *)
+let vector_kernel =
+  lazy
+    (let b = (List.hd R.all).build 42 in
+     match Fv_vectorizer.Gen.vectorize b.K.loop with
+     | Ok v -> (b, v)
+     | Error _ -> Alcotest.fail "the first registry kernel must vectorize")
+
+(* [us] into [s], each uop followed by one that reads a scalar
+   temporary and writes the invocation-gap register, as the emulators
+   record them *)
+let record s us =
+  List.iteri
+    (fun k u ->
+      Sink.push s u;
+      Sink.src s (Sink.internal s (Sink.scalar_tmp (k mod 5)));
+      Sink.uop s Latency.Int_alu ~dst:(Sink.internal s Sink.r_gap))
+    us;
+  s
+
+(* Earlier use of the sink pool, handed back dirty: a sink that recorded
+   a longer trace under labels of its own and shared ones, one whose
+   names are spelled like internal registers (and whose reserved
+   registers are in use), one a run canceled mid-record, and a one-slot
+   sink that grew. *)
+let dirty_the_pool earlier us =
+  let longer = Sink.take () in
+  let relabel (u : Uop.t) = { u with label = "old." ^ u.label } in
+  List.iter (Sink.push longer) (List.map relabel earlier @ us @ earlier);
+  let spell x =
+    internal_spellings.(Hashtbl.hash x mod Array.length internal_spellings)
+  in
+  let spelled =
+    record (Sink.take ())
+      (List.map
+         (fun (u : Uop.t) ->
+           { u with dst = Option.map spell u.dst; srcs = List.map spell u.srcs })
+         (earlier @ us))
+  in
+  let canceled = Sink.take () in
+  List.iter (Sink.push canceled) earlier;
+  let b, v = Lazy.force vector_kernel in
+  let budget = Fv_parallel.Budget.create ~deadline_s:0.0 () in
+  (match
+     Fv_simd.Exec.run ~budget ~emit:canceled v
+       (Fv_mem.Memory.clone b.K.mem)
+       (Fv_ir.Interp.env_of_list b.K.env)
+   with
+  | _ -> QCheck2.Test.fail_report "a past deadline must cancel the run"
+  | exception Fv_parallel.Budget.Canceled _ -> ());
+  let grown = Sink.create ~capacity:1 () in
+  List.iter (Sink.push grown) earlier;
+  List.iter Sink.put_back [ longer; spelled; canceled; grown ]
+
+let pooled_stats s =
+  Fv_memsys.Hierarchy.with_cold (fun hier -> Pipeline.run ~hier s)
+
 (* The sink records what it is given: [to_array] rebuilds exactly the
    pushed uops, growing from one slot changes nothing (so the hash
    folded across growth is right), and a consistent injective renaming
-   of the registers leaves the hash alone. *)
+   of the registers leaves the hash alone. A sink taken from the pool
+   after any earlier use records exactly what a fresh one does. *)
 let prop_sink_round_trip =
-  QCheck2.Test.make ~count:200 ~print:print_uops
-    ~name:"sink: to_array round-trips, growth and renaming keep the hash"
-    gen_uops (fun us ->
+  QCheck2.Test.make ~count:200
+    ~print:(fun (earlier, us) ->
+      Printf.sprintf "earlier: %s\nuops: %s" (print_uops earlier)
+        (print_uops us))
+    ~name:
+      "sink: to_array round-trips, growth and renaming keep the hash, a \
+       pooled sink records as a fresh one"
+    (G.pair gen_uops gen_uops)
+    (fun (earlier, us) ->
       let s = sink_of us and s1 = sink_of ~capacity:1 us in
       let renamed =
         sink_of
@@ -297,6 +365,25 @@ let prop_sink_round_trip =
         Sink.nregs renamed <> Sink.nregs s
         || not (Int64.equal (Sink.hash renamed) (Sink.hash s))
       then QCheck2.Test.fail_report "renaming the registers moved the hash";
+      dirty_the_pool earlier us;
+      let f = record (Sink.create ()) us in
+      let fresh = pooled_stats f in
+      let taken = List.init 4 (fun _ -> Sink.take ()) in
+      List.iteri
+        (fun k p ->
+          ignore (record p us);
+          if
+            Sink.length p <> Sink.length f
+            || Sink.nregs p <> Sink.nregs f
+            || not (Int64.equal (Sink.hash p) (Sink.hash f))
+            || Sink.to_array p <> Sink.to_array f
+            || Sink.histogram p <> Sink.histogram f
+            || compare (pooled_stats p) fresh <> 0
+          then
+            QCheck2.Test.fail_reportf "pooled sink %d differs from a fresh one"
+              k)
+        taken;
+      List.iter Sink.put_back taken;
       true)
 
 (* [n] loads, one line apart: every replay fills thousands of sets *)
@@ -371,6 +458,44 @@ let test_hierarchy_pool_bounded () =
   List.iter (fun s -> ignore (Simcache.stats s)) (chains 301 500);
   Alcotest.(check int) "serial replays reuse the pool" b1 (built ())
 
+(* a scalar loop of [hi] <= 64 loads and adds: a run of it records a
+   few hundred uops *)
+let small_run hi =
+  let mem = Fv_mem.Memory.create () in
+  ignore (Fv_mem.Memory.alloc_ints mem "a" (Array.init 64 Fun.id));
+  let l =
+    Fv_ir.Builder.(
+      loop ~name:"small" ~index:"i" ~hi:(int hi)
+        [ assign "s" (var "s" + load "a" (var "i")) ])
+  in
+  Fv_core.Experiment.run_hot Fv_core.Experiment.Scalar l mem
+    [ ("s", Value.Int 0) ]
+
+(* Hundreds of runs build no more recording sinks than ran at once: at
+   most one per worker domain, and none once the pool holds a free
+   one. *)
+let test_sink_pool_bounded () =
+  let built () = counter "trace_sinks_built" in
+  let b0 = built () in
+  let results =
+    Fv_parallel.Pool.map ~domains:4
+      (fun k -> small_run (1 + (k mod 60)))
+      (List.init 300 Fun.id)
+  in
+  Alcotest.(check bool)
+    "every run answered" true
+    (List.for_all Result.is_ok results);
+  let workers = min 4 (Domain.recommended_domain_count ()) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d built for %d workers" (built () - b0) workers)
+    true
+    (built () - b0 <= workers);
+  let b1 = built () in
+  for hi = 1 to 60 do
+    ignore (small_run hi)
+  done;
+  Alcotest.(check int) "serial runs reuse the pool" b1 (built ())
+
 let suite =
   [
     Alcotest.test_case "cached == fresh on every kernel/strategy/faults"
@@ -391,5 +516,7 @@ let suite =
       test_parallel_replays_equal_fresh;
     Alcotest.test_case "hierarchy pool: at most one per worker" `Quick
       test_hierarchy_pool_bounded;
+    Alcotest.test_case "sink pool: at most one per worker" `Quick
+      test_sink_pool_bounded;
     QCheck_alcotest.to_alcotest prop_sink_round_trip;
   ]

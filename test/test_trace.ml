@@ -220,6 +220,31 @@ let test_recording_allocates_nothing () =
         true (per_uop <= 1.0))
     [ ("458.sjeng", `Scalar); ("401.bzip2", `Flexvec) ]
 
+(* Replay allocates nothing per uop either: its per-uop state is a
+   window of in-flight slots and its scheduler closures are built once
+   per replay, so what it allocates on the minor heap is a fixed set-up
+   cost per trace. *)
+let test_replay_allocates_nothing () =
+  let sinks =
+    List.concat_map
+      (fun spec -> [ trace spec `Scalar; trace spec `Flexvec ])
+      R.all
+  in
+  let hier = Fv_memsys.Hierarchy.table1 () in
+  let w0 = Gc.minor_words () in
+  List.iter
+    (fun s ->
+      Fv_memsys.Hierarchy.reset hier;
+      ignore (Pipeline.run ~hier s))
+    sinks;
+  let words = Gc.minor_words () -. w0 in
+  let uops = List.fold_left (fun a s -> a + Sink.length s) 0 sinks in
+  let per_uop = words /. float_of_int uops in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f words per uop over %d traces, %d uops" per_uop
+       (List.length sinks) uops)
+    true (per_uop <= 0.1)
+
 let suite =
   [
     Alcotest.test_case "deep expression: temporaries stay exact" `Quick
@@ -232,4 +257,6 @@ let suite =
       test_few_registers;
     Alcotest.test_case "recording allocates nothing per uop" `Quick
       test_recording_allocates_nothing;
+    Alcotest.test_case "replay allocates nothing per uop" `Quick
+      test_replay_allocates_nothing;
   ]
